@@ -13,7 +13,7 @@
 //	msbench -exp fig6           # broadcast walk-through
 //	msbench -exp churn          # reactive recovery vs placement scheduler
 //	msbench -exp checkpoint     # full-blob vs incremental-async pipeline
-//	msbench -exp scale          # region size × WiFi channels throughput sweep
+//	msbench -exp scale          # region size × WiFi channels throughput sweep (one row per pair)
 //	msbench -exp emit           # emit-context contract vs legacy []Out adapter
 //	msbench -exp wire           # wire codec encode/decode cost
 //	msbench -exp elastic        # static vs elastic keyed parallelism, moving hotspot
@@ -73,7 +73,7 @@ func main() {
 	fedOut := flag.String("fedout", "", "write federation fan-out sweep JSON to this path")
 	placeOut := flag.String("placeout", "", "write placement planner comparison JSON to this path")
 	scaleMax := flag.Int("scalemax", 64, "largest region size for the scale sweep (8..128)")
-	scaleChannels := flag.String("scalechannels", "1,4", "comma-separated WiFi channel counts for tuned scale rows")
+	scaleChannels := flag.String("scalechannels", "1,4", "comma-separated WiFi channel counts for the scale sweep (one row per region size and count)")
 	seed := flag.Int64("seed", 1, "workload and loss seed")
 	speedup := flag.Float64("speedup", 200, "simulated-to-wall clock ratio")
 	apps := flag.String("apps", "bcp,sg", "comma-separated apps: bcp,sg")

@@ -16,7 +16,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
-	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
@@ -66,25 +65,19 @@ type Scenario struct {
 	// Measure is the measurement window (default two checkpoint
 	// periods).
 	Measure time.Duration
-	// WiFiBps is the shared medium capacity (default 3 Mbps, the middle
-	// of the paper's 1-5 Mbps range); WiFiLoss the UDP loss probability
-	// (default 2%).
-	WiFiBps  float64
-	WiFiLoss float64
-	// FailCount phones crash simultaneously FaultAfter into the window;
-	// DepartCount phones leave instead. FaultAfter defaults to half the
-	// measurement window.
+	// FailCount phones crash simultaneously halfway into the measurement
+	// window; DepartCount phones leave instead.
 	FailCount   int
 	DepartCount int
-	FaultAfter  time.Duration
 	Seed        int64
-	// PreserveBroadcast replicates source logs region-wide under MS
-	// (default true).
-	NoPreserveBroadcast bool
-	// Batch bounds edge-level tuple batching (zero value: enabled with
-	// defaults; set Batch.Disable to measure the unbatched path).
-	Batch node.BatchConfig
 }
+
+// The shared medium runs at 3 Mbps, the middle of the paper's 1-5 Mbps
+// range, with 2% UDP loss.
+const (
+	scenarioWiFiBps  = 3e6
+	scenarioWiFiLoss = 0.02
+)
 
 func (s *Scenario) applyDefaults() {
 	if s.Phones <= 0 {
@@ -101,15 +94,6 @@ func (s *Scenario) applyDefaults() {
 	}
 	if s.Measure <= 0 {
 		s.Measure = 2 * s.CheckpointPeriod
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 3e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
-	}
-	if s.FaultAfter <= 0 {
-		s.FaultAfter = s.Measure / 2
 	}
 }
 
@@ -186,12 +170,11 @@ func Run(s Scenario) (Outcome, error) {
 		Scheme:            s.Scheme,
 		Phones:            s.Phones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Channels: s.Channels, Seed: s.Seed},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: scenarioWiFiBps, LossProb: scenarioWiFiLoss, Channels: s.Channels, Seed: s.Seed},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: s.Scheme.Kind == ft.MS && !s.NoPreserveBroadcast,
-		Batch:             s.Batch,
+		PreserveBroadcast: s.Scheme.Kind == ft.MS,
 	})
 	if err != nil {
 		return Outcome{}, err
@@ -211,9 +194,10 @@ func Run(s Scenario) (Outcome, error) {
 	srcBefore, edgeBefore := r.PreservedBytes()
 
 	if s.FailCount > 0 || s.DepartCount > 0 {
-		clk.Sleep(s.FaultAfter)
+		faultAt := s.Measure / 2
+		clk.Sleep(faultAt)
 		injectFaults(r, ctrl, s)
-		clk.Sleep(s.Measure - s.FaultAfter)
+		clk.Sleep(s.Measure - faultAt)
 	} else {
 		clk.Sleep(s.Measure)
 	}

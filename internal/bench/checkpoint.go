@@ -29,54 +29,35 @@ type CkptScenario struct {
 	StateBytes int
 	// FullOnly selects the synchronous full-blob baseline.
 	FullOnly bool
-	// RebaseEvery bounds the delta chain (default: node's default).
-	RebaseEvery int
-	// Phones is the region population (default 6 = 3 active + 3 idle).
-	Phones int
 	// Speedup is the clock scale (default 200).
 	Speedup float64
-	// CheckpointPeriod (default 20 s) paces token checkpoints.
-	CheckpointPeriod time.Duration
-	// Warmup (default 10 s) runs before the measurement window, which
-	// lasts Measure (default 65 s — three checkpoints per slot).
-	Warmup  time.Duration
+	// Measure is the measurement window (default 65 s — three
+	// checkpoints per slot).
 	Measure time.Duration
-	// SourcePeriod is the ingest interval (default 500 ms).
-	SourcePeriod time.Duration
-	// WiFiBps (default 20 Mbps: multi-MB blobs must fit the period) and
-	// WiFiLoss (default 2%) shape the medium.
-	WiFiBps  float64
-	WiFiLoss float64
-	Seed     int64
+	Seed    int64
 }
+
+// Fixed checkpoint-run parameters: 6 phones (3 active + 3 idle), token
+// checkpoints every 20 s, a 10 s warmup, ingest every 500 ms, and a 20 Mbps
+// medium (multi-MB blobs must fit the period) with 2% UDP loss.
+const (
+	ckptPhones       = 6
+	ckptPeriod       = 20 * time.Second
+	ckptWarmup       = 10 * time.Second
+	ckptSourcePeriod = 500 * time.Millisecond
+	ckptWiFiBps      = 20e6
+	ckptWiFiLoss     = 0.02
+)
 
 func (s *CkptScenario) applyDefaults() {
 	if s.StateBytes <= 0 {
 		s.StateBytes = 1 << 20
 	}
-	if s.Phones <= 0 {
-		s.Phones = 6
-	}
 	if s.Speedup <= 0 {
 		s.Speedup = 200
 	}
-	if s.CheckpointPeriod <= 0 {
-		s.CheckpointPeriod = 20 * time.Second
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = 10 * time.Second
-	}
 	if s.Measure <= 0 {
 		s.Measure = 65 * time.Second
-	}
-	if s.SourcePeriod <= 0 {
-		s.SourcePeriod = 500 * time.Millisecond
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 20e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
 	}
 }
 
@@ -146,7 +127,7 @@ func RunCkpt(s CkptScenario) (CkptOutcome, error) {
 	ctrl := controller.New(controller.Config{
 		Clock:            clk,
 		Cell:             cell,
-		CheckpointPeriod: s.CheckpointPeriod,
+		CheckpointPeriod: ckptPeriod,
 		PingInterval:     30 * time.Second,
 		PingTimeout:      10 * time.Second,
 		DebounceWindow:   2 * time.Second,
@@ -156,14 +137,14 @@ func RunCkpt(s CkptScenario) (CkptOutcome, error) {
 		Graph:             g,
 		Registry:          ckptRegistry(s.StateBytes),
 		Scheme:            ft.MSScheme,
-		Phones:            s.Phones,
+		Phones:            ckptPhones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Seed: s.Seed},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: ckptWiFiBps, LossProb: ckptWiFiLoss, Seed: s.Seed},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: true,
-		Checkpoint:        node.CheckpointConfig{FullOnly: s.FullOnly, RebaseEvery: s.RebaseEvery},
+		Checkpoint:        node.CheckpointConfig{FullOnly: s.FullOnly},
 	})
 	if err != nil {
 		return CkptOutcome{}, err
@@ -177,9 +158,9 @@ func RunCkpt(s CkptScenario) (CkptOutcome, error) {
 	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
 		atomic.AddInt64(&ingested, 1)
 		r.Ingest("S", v, 2048, "count")
-	}, workload.BCPBusConfig{Period: s.SourcePeriod, Seed: s.Seed})
+	}, workload.BCPBusConfig{Period: ckptSourcePeriod, Seed: s.Seed})
 
-	clk.Sleep(s.Warmup)
+	clk.Sleep(ckptWarmup)
 	r.Throughput.Start(clk.Now())
 	r.CkptStats().Reset()
 	clk.Sleep(s.Measure)

@@ -31,91 +31,40 @@ import (
 type ChurnScenario struct {
 	Scheme      ft.Scheme
 	SchedulerOn bool
-	// Phones is the region population (default 10 = 4 active + 6 idle).
-	Phones int
 	// Speedup is the clock scale (default 300).
 	Speedup float64
-	// CheckpointPeriod (default 30 s) bounds reactive recovery's replay
-	// window — the tuples a recovery loses to sink-side suppression.
-	CheckpointPeriod time.Duration
-	// Warmup runs before the measurement window (default one checkpoint
-	// period, so a committed checkpoint exists when churn starts).
-	Warmup time.Duration
-	// Measure is the churn + measurement window (default 120 s).
-	Measure time.Duration
-	// Drain lets the pipeline tail flush after ingest stops (default 15 s).
-	Drain time.Duration
-	// SourcePeriod is the ingest interval (default 700 ms).
-	SourcePeriod time.Duration
-	// MeanLeave / MeanJoin are the Poisson churn means (defaults 20 s /
-	// 45 s); CliffShare splits leaves between battery cliffs and commuter
-	// walks (default 0.6).
-	MeanLeave  time.Duration
-	MeanJoin   time.Duration
-	CliffShare float64
-	// WalkSpeed (default 4 m/s) and RadiusM (default 120 m) shape the
-	// commuter trace; BatteryJoules (default 150) and CliffFraction
-	// (default 0.08) shape the battery cliff.
-	WalkSpeed     float64
-	RadiusM       float64
-	BatteryJoules float64
-	CliffFraction float64
-	WiFiBps       float64
-	WiFiLoss      float64
-	// NoRouteCache disables the nodes' epoch-stamped route cache (the
-	// pre-cache data plane, for equivalence regression tests).
-	NoRouteCache bool
-	Seed         int64
+	Seed    int64
 }
 
+// Fixed churn-run parameters. The region has 10 phones (4 active + 6 idle)
+// on a 3 Mbps medium with 2% UDP loss, and ingests every 700 ms. The 30 s
+// checkpoint period bounds reactive recovery's replay window, the tuples a
+// recovery loses to sink-side suppression; the warmup lasts one period, so
+// a committed checkpoint exists when churn starts. Churn then runs for
+// churnMeasure and the pipeline tail drains for churnDrain. Leaves and joins
+// are Poisson with means 20 s and 45 s; 60% of leaves are battery cliffs
+// (150 J phones dropped to 8%) and the rest commuter walks at 4 m/s out of
+// a 120 m disc.
+const (
+	churnPhones        = 10
+	churnCkptPeriod    = 30 * time.Second
+	churnMeasure       = 120 * time.Second
+	churnDrain         = 15 * time.Second
+	churnSourcePeriod  = 700 * time.Millisecond
+	churnMeanLeave     = 20 * time.Second
+	churnMeanJoin      = 45 * time.Second
+	churnCliffShare    = 0.6
+	churnCliffFraction = 0.08
+	churnWalkSpeed     = 4
+	churnRadiusM       = 120
+	churnBatteryJoules = 150
+	churnWiFiBps       = 3e6
+	churnWiFiLoss      = 0.02
+)
+
 func (s *ChurnScenario) applyDefaults() {
-	if s.Phones <= 0 {
-		s.Phones = 10
-	}
 	if s.Speedup <= 0 {
 		s.Speedup = 300
-	}
-	if s.CheckpointPeriod <= 0 {
-		s.CheckpointPeriod = 30 * time.Second
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = s.CheckpointPeriod
-	}
-	if s.Measure <= 0 {
-		s.Measure = 120 * time.Second
-	}
-	if s.Drain <= 0 {
-		s.Drain = 15 * time.Second
-	}
-	if s.SourcePeriod <= 0 {
-		s.SourcePeriod = 700 * time.Millisecond
-	}
-	if s.MeanLeave <= 0 {
-		s.MeanLeave = 20 * time.Second
-	}
-	if s.MeanJoin <= 0 {
-		s.MeanJoin = 45 * time.Second
-	}
-	if s.CliffShare <= 0 {
-		s.CliffShare = 0.6
-	}
-	if s.WalkSpeed <= 0 {
-		s.WalkSpeed = 4
-	}
-	if s.RadiusM <= 0 {
-		s.RadiusM = 120
-	}
-	if s.BatteryJoules <= 0 {
-		s.BatteryJoules = 150
-	}
-	if s.CliffFraction <= 0 {
-		s.CliffFraction = 0.08
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 3e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
 	}
 }
 
@@ -225,7 +174,7 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 				churnDebug("%8.1fs ctrl: "+format, append([]interface{}{clk.Now().Seconds()}, args...)...)
 			}
 		},
-		CheckpointPeriod: s.CheckpointPeriod,
+		CheckpointPeriod: churnCkptPeriod,
 		PingInterval:     30 * time.Second,
 		PingTimeout:      10 * time.Second,
 		DebounceWindow:   2 * time.Second,
@@ -244,23 +193,22 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 	}
 	ctrl := controller.New(ctrlCfg)
 
-	gaps := &gapTracker{allowance: 5 * s.SourcePeriod}
+	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
 	var measureEnd atomic.Int64 // simulated ns; 0 until known
 	r, err := region.New(region.Config{
 		ID:                "r1",
 		Graph:             g,
 		Registry:          churnRegistry(),
 		Scheme:            s.Scheme,
-		Phones:            s.Phones,
+		Phones:            churnPhones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Seed: s.Seed},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: churnWiFiBps, LossProb: churnWiFiLoss, Seed: s.Seed},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
-		PhoneCfg:          phone.Config{BatteryJoules: s.BatteryJoules},
+		PhoneCfg:          phone.Config{BatteryJoules: churnBatteryJoules},
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: s.Scheme.Kind == ft.MS,
-		NoRouteCache:      s.NoRouteCache,
-		RadiusM:           s.RadiusM,
+		RadiusM:           churnRadiusM,
 		OnSinkOutput: func(_ simnet.NodeID, _ *tuple.Tuple) {
 			gaps.tick(clk.Now(), time.Duration(measureEnd.Load()))
 		},
@@ -273,18 +221,18 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 	ctrl.Start()
 
 	// Warm up: let the first checkpoint commit before churn starts.
-	clk.Sleep(s.Warmup)
+	clk.Sleep(churnCkptPeriod)
 
-	// Ingest: one tuple per SourcePeriod, counted from the window open.
+	// Ingest: one tuple per churnSourcePeriod, counted from the window open.
 	var ingested int64
 	gen := workload.NewGenerator(clk)
 	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
 		atomic.AddInt64(&ingested, 1)
 		r.Ingest("S", v, 2048, "count")
-	}, workload.BCPBusConfig{Period: s.SourcePeriod, Seed: s.Seed})
+	}, workload.BCPBusConfig{Period: churnSourcePeriod, Seed: s.Seed})
 
 	start := clk.Now()
-	end := start + s.Measure
+	end := start + churnMeasure
 	measureEnd.Store(int64(end))
 	r.Throughput.Start(start)
 	r.Latency.Reset()
@@ -347,23 +295,23 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 			ctrl.NotifyDeparture(r.ID(), id)
 		},
 		Join: func(int) {
-			r.AddPhone(phone.Config{BatteryJoules: s.BatteryJoules})
+			r.AddPhone(phone.Config{BatteryJoules: churnBatteryJoules})
 			atomic.AddInt64(&joins, 1)
 		},
 	}, workload.ChurnConfig{
-		MeanLeave:     s.MeanLeave,
-		MeanJoin:      s.MeanJoin,
-		CliffShare:    s.CliffShare,
-		CliffFraction: s.CliffFraction,
-		WalkSpeed:     s.WalkSpeed,
-		RadiusM:       s.RadiusM,
+		MeanLeave:     churnMeanLeave,
+		MeanJoin:      churnMeanJoin,
+		CliffShare:    churnCliffShare,
+		CliffFraction: churnCliffFraction,
+		WalkSpeed:     churnWalkSpeed,
+		RadiusM:       churnRadiusM,
 		Seed:          s.Seed,
 	})
 
-	clk.Sleep(s.Measure)
+	clk.Sleep(churnMeasure)
 	churn.Stop()
 	gen.Stop()
-	clk.Sleep(s.Drain)
+	clk.Sleep(churnDrain)
 
 	mode := "reactive"
 	if s.SchedulerOn {
@@ -385,7 +333,7 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 	if out.Lost < 0 {
 		out.Lost = 0
 	}
-	out.ThroughputTPS = float64(out.Delivered) / s.Measure.Seconds()
+	out.ThroughputTPS = float64(out.Delivered) / churnMeasure.Seconds()
 	out.DowntimeSec = gaps.closeAt(end).Seconds()
 	r.Stop()
 	ctrl.Stop()
@@ -428,13 +376,12 @@ type ChurnReport struct {
 
 // WriteChurnJSON emits the churn comparison as indented JSON.
 func WriteChurnJSON(w io.Writer, base ChurnScenario, rows []ChurnOutcome) error {
-	base.applyDefaults()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ChurnReport{
 		Experiment: "churn: reactive recovery vs adaptive placement scheduler",
 		Seed:       base.Seed,
-		MeasureSec: base.Measure.Seconds(),
+		MeasureSec: churnMeasure.Seconds(),
 		Rows:       rows,
 	})
 }

@@ -23,20 +23,19 @@ import (
 type IngressConfig struct {
 	// Tuples is the number of tuples pushed through the edge.
 	Tuples int
-	// TupleBytes is the payload size (default 512 B — small telemetry
-	// tuples, the worst case for per-message overhead).
-	TupleBytes int
-	// Batch configures edge batching (set Disable for the baseline).
-	Batch node.BatchConfig
-	// Speedup is the clock scale (default 200). Low enough that modelled
-	// airtime dominates scheduler noise in the simulated-time results.
-	Speedup float64
-	// WiFi overrides the medium; the zero value models 3 Mbps with a
-	// 600-byte per-frame overhead and 1 ms propagation delay.
-	WiFi simnet.WiFiConfig
+	// QoS configures edge batching (set DisableBatching for the baseline).
+	QoS node.QoS
 	// OnOutput, when non-nil, observes each delivered tuple in order.
 	OnOutput func(*tuple.Tuple)
 }
+
+// Fixed ingress-run parameters: small telemetry tuples (the worst case for
+// per-message overhead) and a clock speedup low enough that modelled
+// airtime dominates scheduler noise in the simulated-time results.
+const (
+	ingressTupleBytes = 256
+	ingressSpeedup    = 100
+)
 
 // IngressResult reports one ingress run.
 type IngressResult struct {
@@ -55,25 +54,12 @@ func (c *IngressConfig) applyDefaults() {
 	if c.Tuples <= 0 {
 		c.Tuples = 100
 	}
-	if c.TupleBytes <= 0 {
-		c.TupleBytes = 256
-	}
-	if c.Speedup <= 0 {
-		c.Speedup = 100
-	}
-	if c.WiFi.BitsPerSecond <= 0 {
-		c.WiFi = simnet.WiFiConfig{
-			BitsPerSecond: 3e6,
-			FrameOverhead: 600,
-			PropDelay:     3 * time.Millisecond,
-		}
-	}
 	// Benchmark-specific batch bound: at this speedup a full batch's
 	// airtime must stay inside the scaled clock's spin window, or OS
 	// timer overshoot (hundreds of µs of wall time per sleep) leaks into
 	// the simulated-time results and swamps the medium model.
-	if !c.Batch.Disable && c.Batch.MaxMsgs == 0 {
-		c.Batch.MaxMsgs = 12
+	if !c.QoS.DisableBatching && c.QoS.MaxBatchMsgs == 0 {
+		c.QoS.MaxBatchMsgs = 12
 	}
 }
 
@@ -100,7 +86,7 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 	if err != nil {
 		return IngressResult{}, err
 	}
-	clk := clock.NewScaled(cfg.Speedup)
+	clk := clock.NewScaled(ingressSpeedup)
 	rcfg := region.Config{
 		ID:       "ingress",
 		Graph:    g,
@@ -108,10 +94,10 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 		Scheme:   ft.BaseScheme,
 		Phones:   2,
 		Clock:    clk,
-		WiFi:     cfg.WiFi,
+		WiFi:     simnet.WiFiConfig{BitsPerSecond: 3e6, FrameOverhead: 600, PropDelay: 3 * time.Millisecond},
 		// The flood outlives a stock battery; energy is not under test.
 		PhoneCfg: phone.Config{BatteryJoules: 1e12},
-		Batch:    cfg.Batch,
+		QoS:      cfg.QoS,
 	}
 	if cfg.OnOutput != nil {
 		out := cfg.OnOutput
@@ -127,7 +113,7 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 	wallStart := time.Now()
 	simStart := clk.Now()
 	for i := 0; i < cfg.Tuples; i++ {
-		r.Ingest("IS", i, cfg.TupleBytes, "ingress")
+		r.Ingest("IS", i, ingressTupleBytes, "ingress")
 	}
 	// All tuples are in flight; wait for the sink to drain them.
 	deadline := time.Now().Add(60 * time.Second)

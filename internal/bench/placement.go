@@ -37,100 +37,50 @@ type PlacementScenario struct {
 	Planner bool
 	// Phones is the region population (default 128).
 	Phones int
-	// Channels is the WiFi channel/AP domain count (default 4).
-	Channels int
 	// Pipelines is the number of independent 3-slot chains (default 4).
 	Pipelines int
-	// Speedup is the clock scale (default 150). Plan execution is paced
-	// against simulated time — a migration's transfer deadline is 60
-	// simulated seconds — so the speedup bounds how much wall-clock
-	// scheduling stall a plan step can absorb before it spuriously times
-	// out and aborts the plan. 150 keeps the whole comparison under ~15 s
-	// of wall time while giving each step hundreds of milliseconds of
-	// slack on a contended CI runner.
-	Speedup float64
-	// Warmup precedes the measurement window (default one checkpoint
-	// period); Measure is the churn window (default 120 s); Drain flushes
-	// the tail (default 15 s).
+	// CheckpointPeriod (default 30 s) also sets the warmup that precedes
+	// the measurement window; Measure is the churn window (default 120 s);
+	// Drain flushes the tail (default 15 s).
 	CheckpointPeriod time.Duration
-	Warmup           time.Duration
 	Measure          time.Duration
 	Drain            time.Duration
-	// SourcePeriod is the ingest interval, rotated across pipelines
-	// (default 700 ms).
-	SourcePeriod time.Duration
-	// MeanLeave / MeanJoin are the Poisson churn means (defaults 20 s /
-	// 45 s); CliffShare splits leaves between battery cliffs and commuter
-	// walks (default 0.6).
-	MeanLeave  time.Duration
-	MeanJoin   time.Duration
-	CliffShare float64
-	// WalkSpeed (default 4 m/s) and RadiusM (default 120 m) shape the
-	// commuter trace; BatteryJoules (default 150) and CliffFraction
-	// (default 0.08) shape the battery cliff.
-	WalkSpeed     float64
-	RadiusM       float64
-	BatteryJoules float64
-	CliffFraction float64
-	WiFiBps       float64
-	WiFiLoss      float64
-	Seed          int64
+	// MeanLeave is the Poisson mean inter-leave time (default 20 s).
+	MeanLeave time.Duration
+	Seed      int64
 }
+
+// placementChannels is the WiFi channel/AP domain count. The rest of the
+// workload (ingest period, joins, battery cliffs, commuter walks, medium)
+// is the churn experiment's.
+const placementChannels = 4
+
+// placementSpeedup is the clock scale. Plan execution is paced against
+// simulated time — a migration's transfer deadline is 60 simulated
+// seconds — so the speedup bounds how much wall-clock scheduling stall a
+// plan step can absorb before it spuriously times out and aborts the plan.
+// 150 keeps the whole comparison under ~15 s of wall time while giving
+// each step hundreds of milliseconds of slack on a contended CI runner.
+const placementSpeedup = 150
 
 func (s *PlacementScenario) applyDefaults() {
 	if s.Phones <= 0 {
 		s.Phones = 128
 	}
-	if s.Channels <= 0 {
-		s.Channels = 4
-	}
 	if s.Pipelines <= 0 {
 		s.Pipelines = 4
 	}
-	if s.Speedup <= 0 {
-		s.Speedup = 150
-	}
 	if s.CheckpointPeriod <= 0 {
-		s.CheckpointPeriod = 30 * time.Second
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = s.CheckpointPeriod
+		s.CheckpointPeriod = churnCkptPeriod
 	}
 	if s.Measure <= 0 {
-		s.Measure = 120 * time.Second
+		s.Measure = churnMeasure
 	}
 	if s.Drain <= 0 {
-		s.Drain = 15 * time.Second
-	}
-	if s.SourcePeriod <= 0 {
-		s.SourcePeriod = 700 * time.Millisecond
+		s.Drain = churnDrain
 	}
 	if s.MeanLeave <= 0 {
-		s.MeanLeave = 20 * time.Second
-	}
-	if s.MeanJoin <= 0 {
-		s.MeanJoin = 45 * time.Second
-	}
-	if s.CliffShare <= 0 {
-		s.CliffShare = 0.6
-	}
-	if s.WalkSpeed <= 0 {
-		s.WalkSpeed = 4
-	}
-	if s.RadiusM <= 0 {
-		s.RadiusM = 120
-	}
-	if s.BatteryJoules <= 0 {
-		s.BatteryJoules = 150
-	}
-	if s.CliffFraction <= 0 {
-		s.CliffFraction = 0.08
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 3e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
+		s.MeanLeave = churnMeanLeave
 	}
 }
 
@@ -199,7 +149,7 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	if err != nil {
 		return PlacementOutcome{}, err
 	}
-	clk := clock.NewScaled(s.Speedup)
+	clk := clock.NewScaled(placementSpeedup)
 	cell := simnet.NewCellular(clk, simnet.CellularConfig{
 		UpBitsPerSecond:   0.16e6,
 		DownBitsPerSecond: 0.7e6,
@@ -236,7 +186,7 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	}
 	ctrl := controller.New(ctrlCfg)
 
-	gaps := &gapTracker{allowance: 5 * s.SourcePeriod}
+	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
 	var measureEnd atomic.Int64
 	r, err := region.New(region.Config{
 		ID:                "r1",
@@ -245,13 +195,13 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 		Scheme:            ft.MSScheme,
 		Phones:            s.Phones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Channels: s.Channels, Seed: s.Seed},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: churnWiFiBps, LossProb: churnWiFiLoss, Channels: placementChannels, Seed: s.Seed},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
-		PhoneCfg:          phone.Config{BatteryJoules: s.BatteryJoules},
+		PhoneCfg:          phone.Config{BatteryJoules: churnBatteryJoules},
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: true,
-		RadiusM:           s.RadiusM,
+		RadiusM:           churnRadiusM,
 		OnSinkOutput: func(_ simnet.NodeID, _ *tuple.Tuple) {
 			gaps.tick(clk.Now(), time.Duration(measureEnd.Load()))
 		},
@@ -263,9 +213,9 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	r.Start()
 	ctrl.Start()
 
-	clk.Sleep(s.Warmup)
+	clk.Sleep(s.CheckpointPeriod)
 
-	// Ingest: one tuple per SourcePeriod, rotated across the pipelines so
+	// Ingest: one tuple per churnSourcePeriod, rotated across the pipelines so
 	// every chain carries identical load.
 	var ingested int64
 	gen := workload.NewGenerator(clk)
@@ -273,7 +223,7 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 		n := atomic.AddInt64(&ingested, 1)
 		src := fmt.Sprintf("S%d", int((n-1)%int64(s.Pipelines))+1)
 		r.Ingest(src, v, 2048, "count")
-	}, workload.BCPBusConfig{Period: s.SourcePeriod, Seed: s.Seed})
+	}, workload.BCPBusConfig{Period: churnSourcePeriod, Seed: s.Seed})
 
 	start := clk.Now()
 	end := start + s.Measure
@@ -328,16 +278,16 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 			ctrl.NotifyDeparture(r.ID(), id)
 		},
 		Join: func(int) {
-			r.AddPhone(phone.Config{BatteryJoules: s.BatteryJoules})
+			r.AddPhone(phone.Config{BatteryJoules: churnBatteryJoules})
 			atomic.AddInt64(&joins, 1)
 		},
 	}, workload.ChurnConfig{
 		MeanLeave:     s.MeanLeave,
-		MeanJoin:      s.MeanJoin,
-		CliffShare:    s.CliffShare,
-		CliffFraction: s.CliffFraction,
-		WalkSpeed:     s.WalkSpeed,
-		RadiusM:       s.RadiusM,
+		MeanJoin:      churnMeanJoin,
+		CliffShare:    churnCliffShare,
+		CliffFraction: churnCliffFraction,
+		WalkSpeed:     churnWalkSpeed,
+		RadiusM:       churnRadiusM,
 		Seed:          s.Seed,
 	})
 
@@ -416,7 +366,7 @@ func WritePlacementJSON(w io.Writer, base PlacementScenario, rows []PlacementOut
 		Experiment: "placement: greedy scorer vs topology-aware planner",
 		Seed:       base.Seed,
 		Phones:     base.Phones,
-		Channels:   base.Channels,
+		Channels:   placementChannels,
 		MeasureSec: base.Measure.Seconds(),
 		Rows:       rows,
 	})

@@ -13,7 +13,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
-	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/region"
@@ -23,39 +22,32 @@ import (
 // ScaleScenario configures one region-scale throughput run: an aggregation
 // tree sized to the phone count (leaf source slots → fan-in-8 aggregator
 // slots → one sink slot), every leaf ingesting telemetry tuples at a fixed
-// period. Legacy mode (Channels 1, NoRouteCache) reproduces the pre-
-// overhaul data plane: one shared medium, a resolver round-trip per send.
+// period.
 type ScaleScenario struct {
 	// Phones is the region population; the graph is sized to use every
 	// phone as a slot host (no idles — the data plane is under test).
 	Phones int
 	// Channels is the WiFi channel count (default 1).
 	Channels int
-	// NoRouteCache disables the epoch-stamped route cache.
-	NoRouteCache bool
-	// DisableBatch sends every emission individually.
-	DisableBatch bool
-	// TupleBytes is the leaf tuple payload size (default 1024).
-	TupleBytes int
-	// SourcePeriod is each leaf's ingest interval (default 125 ms, i.e.
-	// 8 tuples/s per leaf). At the default sizes the aggregate offered
-	// load exceeds one channel's capacity from ~32 phones on, which is
-	// the wall the sweep exposes.
-	SourcePeriod time.Duration
-	// Warmup runs before the measurement window (default 3 s).
-	Warmup time.Duration
 	// Measure is the measurement window (default 20 s).
 	Measure time.Duration
 	// Speedup is the clock scale (default 200).
 	Speedup float64
-	// WiFiBps is per-channel capacity (default 3 Mbps); WiFiLoss the UDP
-	// loss probability (default 2%); FrameOverhead the per-send framing
-	// cost in byte-equivalents (default 600, as in the ingress bench).
-	WiFiBps       float64
-	WiFiLoss      float64
-	FrameOverhead int
-	Seed          int64
+	Seed    int64
 }
+
+// Fixed scale-run parameters. Every leaf offers 8 tuples/s of 1 KB, so the
+// aggregate offered load exceeds one 3 Mbps channel's capacity from ~32
+// phones on, which is the wall the sweep exposes. The per-send framing cost
+// is in byte-equivalents, as in the ingress bench.
+const (
+	scaleTupleBytes    = 1024
+	scaleSourcePeriod  = 125 * time.Millisecond
+	scaleWarmup        = 3 * time.Second
+	scaleWiFiBps       = 3e6
+	scaleWiFiLoss      = 0.02
+	scaleFrameOverhead = 600
+)
 
 func (s *ScaleScenario) applyDefaults() {
 	if s.Phones <= 0 {
@@ -64,29 +56,11 @@ func (s *ScaleScenario) applyDefaults() {
 	if s.Channels <= 0 {
 		s.Channels = 1
 	}
-	if s.TupleBytes <= 0 {
-		s.TupleBytes = 1024
-	}
-	if s.SourcePeriod <= 0 {
-		s.SourcePeriod = 125 * time.Millisecond
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = 3 * time.Second
-	}
 	if s.Measure <= 0 {
 		s.Measure = 20 * time.Second
 	}
 	if s.Speedup <= 0 {
 		s.Speedup = 200
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 3e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
-	}
-	if s.FrameOverhead <= 0 {
-		s.FrameOverhead = 600
 	}
 }
 
@@ -149,8 +123,7 @@ func scaleGraph(phones int) (*graph.Graph, operator.Registry, []string, error) {
 // neighbourhood share one cell (their fan-in stays in-cell, charged once),
 // neighbourhoods round-robin over all but the last channel, and the sink
 // gets the last channel to itself so the region-wide fan-in hop does not
-// contend with leaf traffic. With one channel everything maps to it, which
-// is the legacy single medium.
+// contend with leaf traffic. With one channel everything maps to it.
 //
 // The phone-to-slot mapping mirrors region.New's deterministic layout:
 // slots in sorted order onto phones regionID/p1..pN.
@@ -203,7 +176,7 @@ type ScaleRow struct {
 	Phones   int    `json:"phones"`
 	Leaves   int    `json:"leaves"`
 	Channels int    `json:"channels"`
-	Mode     string `json:"mode"` // "legacy" or "tuned"
+	Mode     string `json:"mode"` // always "tuned", the rows the compare gate reads
 	Ingested int64  `json:"ingested"`
 	// Delivered counts sink outputs landing inside the measurement
 	// window; TPS divides it by the window. Warmup-admitted tuples still
@@ -234,17 +207,15 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 		Phones:   slots,
 		Clock:    clk,
 		WiFi: simnet.WiFiConfig{
-			BitsPerSecond: s.WiFiBps,
-			LossProb:      s.WiFiLoss,
-			FrameOverhead: s.FrameOverhead,
+			BitsPerSecond: scaleWiFiBps,
+			LossProb:      scaleWiFiLoss,
+			FrameOverhead: scaleFrameOverhead,
 			Channels:      s.Channels,
 			Assign:        scaleChannelPlan("scale", g, s.Channels),
 			Seed:          s.Seed,
 		},
 		// The flood outlives a stock battery; energy is not under test.
-		PhoneCfg:     phone.Config{BatteryJoules: 1e12},
-		Batch:        node.BatchConfig{Disable: s.DisableBatch},
-		NoRouteCache: s.NoRouteCache,
+		PhoneCfg: phone.Config{BatteryJoules: 1e12},
 	})
 	if err != nil {
 		return ScaleRow{}, err
@@ -263,7 +234,7 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 	next := make([]time.Duration, len(srcOps))
 	base := clk.Now()
 	for i := range srcOps {
-		next[i] = base + time.Duration(rng.Int63n(int64(s.SourcePeriod)))
+		next[i] = base + time.Duration(rng.Int63n(int64(scaleSourcePeriod)))
 	}
 	wg.Add(1)
 	go func() {
@@ -283,15 +254,15 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 			if wait := next[due] - clk.Now(); wait > 0 {
 				clk.Sleep(wait)
 			}
-			r.Ingest(srcOps[due], due, s.TupleBytes, "telemetry")
+			r.Ingest(srcOps[due], due, scaleTupleBytes, "telemetry")
 			if measuring.Load() {
 				atomic.AddInt64(&ingested, 1)
 			}
-			next[due] += s.SourcePeriod
+			next[due] += scaleSourcePeriod
 		}
 	}()
 
-	clk.Sleep(s.Warmup)
+	clk.Sleep(scaleWarmup)
 	wallStart := time.Now()
 	r.Throughput.Start(clk.Now())
 	r.Latency.Reset()
@@ -315,9 +286,6 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 		WallMs:    float64(time.Since(wallStart)) / float64(time.Millisecond),
 	}
 	row.AllocsPerTuple, _ = allocs.PerUnit(delivered)
-	if s.NoRouteCache && s.Channels == 1 {
-		row.Mode = "legacy"
-	}
 	close(stop)
 	wg.Wait()
 	r.Stop()
@@ -328,12 +296,10 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 // with msbench -scalemax 128; CI stops at 64 to bound wall time.
 var DefaultScaleSizes = []int{8, 16, 32, 64}
 
-// DefaultScaleChannels is the default channel-count sweep for tuned rows.
+// DefaultScaleChannels is the default channel-count sweep.
 var DefaultScaleChannels = []int{1, 4}
 
-// ScaleComparison sweeps region size × channel count. Every size runs once
-// in legacy mode (single channel, route cache off — the pre-overhaul data
-// plane) and once per channel count with the overhauled plane.
+// ScaleComparison sweeps region size × channel count, one run per pair.
 func ScaleComparison(base ScaleScenario, sizes []int, channels []int) ([]ScaleRow, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultScaleSizes
@@ -343,25 +309,15 @@ func ScaleComparison(base ScaleScenario, sizes []int, channels []int) ([]ScaleRo
 	}
 	var rows []ScaleRow
 	for _, phones := range sizes {
-		s := base
-		s.Phones = phones
-		s.Channels = 1
-		s.NoRouteCache = true
-		legacy, err := RunScale(s)
-		if err != nil {
-			return nil, fmt.Errorf("scale %d phones legacy: %w", phones, err)
-		}
-		rows = append(rows, legacy)
 		for _, ch := range channels {
 			s := base
 			s.Phones = phones
 			s.Channels = ch
-			tuned, err := RunScale(s)
+			row, err := RunScale(s)
 			if err != nil {
 				return nil, fmt.Errorf("scale %d phones %d channels: %w", phones, ch, err)
 			}
-			tuned.Mode = "tuned"
-			rows = append(rows, tuned)
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -382,7 +338,7 @@ func WriteScaleJSON(w io.Writer, base ScaleScenario, rows []ScaleRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ScaleReport{
-		Experiment: "scale: region size × WiFi channels, legacy vs overhauled data plane",
+		Experiment: "scale: region size × WiFi channels",
 		Seed:       base.Seed,
 		MeasureSec: base.Measure.Seconds(),
 		Rows:       rows,
@@ -391,7 +347,7 @@ func WriteScaleJSON(w io.Writer, base ScaleScenario, rows []ScaleRow) error {
 
 // WriteScaleTable renders the sweep for humans.
 func WriteScaleTable(w io.Writer, rows []ScaleRow) {
-	fmt.Fprintln(w, "Scale — region size × WiFi channels (legacy = single channel, uncached routes)")
+	fmt.Fprintln(w, "Scale — region size × WiFi channels")
 	fmt.Fprintf(w, "%-7s %-7s %-9s %-7s %10s %10s %10s %10s %12s\n",
 		"phones", "leaves", "channels", "mode", "ingested", "delivered", "tuples/s", "p99 ms", "allocs/tuple")
 	for _, o := range rows {

@@ -24,32 +24,22 @@ type CheckpointConfig struct {
 	// FullOnly disables delta chains and moves the flash write into the
 	// executor's critical section (synchronous full-blob checkpointing).
 	FullOnly bool
-	// RebaseEvery bounds the delta chain: every RebaseEvery-th checkpoint
-	// is a self-contained full base blob (default 4), so restore replays
-	// at most RebaseEvery links and a lost base dooms at most that many
-	// versions.
-	RebaseEvery int
-	// MemCopyBps models the in-memory copy bandwidth of the short
-	// stop-the-world window (default 400 MB/s — DRAM-speed serialisation
-	// versus the ~10 MB/s flash the synchronous path stalls on).
-	MemCopyBps float64
 }
 
-func (c CheckpointConfig) rebaseEvery() int {
-	if c.RebaseEvery > 0 {
-		return c.RebaseEvery
-	}
-	return 4
-}
+// rebaseInterval bounds the delta chain: every rebaseInterval-th
+// checkpoint is a self-contained full base blob, so restore replays at most
+// rebaseInterval links and a lost base dooms at most that many versions.
+const rebaseInterval = 4
+
+// memCopyBps models the in-memory copy bandwidth of the short
+// stop-the-world window: DRAM-speed serialisation versus the ~10 MB/s
+// flash the synchronous path stalls on.
+const memCopyBps = 400e6
 
 // copyTime is the modelled executor pause for copying n state bytes out of
 // the operators at the tuple boundary.
-func (c CheckpointConfig) copyTime(n int) time.Duration {
-	bps := c.MemCopyBps
-	if bps <= 0 {
-		bps = 400e6
-	}
-	return time.Duration(float64(n) / bps * float64(time.Second))
+func copyTime(n int) time.Duration {
+	return time.Duration(float64(n) / memCopyBps * float64(time.Second))
 }
 
 // snapshotParts collects everything a checkpoint needs: the slot, the
@@ -103,7 +93,7 @@ func (n *Node) buildCheckpoint(v uint64) (*checkpoint.Blob, error) {
 	}
 	ck := n.cfg.Checkpoint
 	var blob *checkpoint.Blob
-	if !ck.FullOnly && base != 0 && chainLen < ck.rebaseEvery()-1 {
+	if !ck.FullOnly && base != 0 && chainLen < rebaseInterval-1 {
 		blob, err = checkpoint.BuildDeltaBlob(slot, v, base, ops, extra)
 	} else {
 		blob, err = checkpoint.BuildBlob(slot, v, ops, extra)

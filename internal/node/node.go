@@ -51,12 +51,18 @@ const (
 )
 
 // Resolver maps slots to the phones currently hosting them. The region
-// owns the placement and updates it during recovery and mobility; nodes
-// resolve on every send (through the epoch-stamped route cache when the
-// resolver also implements EpochResolver).
+// owns the placement and updates it during recovery and mobility. Epoch
+// increases monotonically: any change to a slot's primary or standby
+// bumps it. Nodes cache resolutions per slot and
+// invalidate the whole cache on an epoch change (routecache.go), replacing
+// the per-send resolver round-trip (a region-wide mutex plus a map lookup)
+// with one atomic epoch load — while keeping failover correctness, because
+// recovery, migration and handoff all repoint placements through
+// epoch-bumping region calls.
 type Resolver interface {
 	Primary(slot string) (simnet.NodeID, bool)
 	Standby(slot string) (simnet.NodeID, bool)
+	Epoch() uint64
 }
 
 // Config assembles a node.
@@ -77,9 +83,6 @@ type Config struct {
 	Endpoint *simnet.Endpoint
 	Store    *storage.Store
 	Resolver Resolver
-	// NoRouteCache disables the epoch-stamped Primary/Standby cache and
-	// consults the Resolver on every send (the pre-cache behaviour).
-	NoRouteCache bool
 	// ControllerID is the controller's network identity for reports.
 	ControllerID simnet.NodeID
 	// Peers returns the current region members (minus this phone) for
@@ -97,14 +100,9 @@ type Config struct {
 	// emissions through it; a control-plane table install flips routing
 	// on every node at once.
 	Keyed map[string]*keyed.Group
-	// Batch bounds edge-level tuple batching on the emission hot path.
-	//
-	// Deprecated: prefer the consolidated QoS knobs; Batch remains for
-	// compatibility and is overridden field-by-field by QoS.
-	Batch BatchConfig
-	// QoS consolidates the output-path quality-of-service knobs: the
-	// end-to-end latency budget driving adaptive flush deadlines, and the
-	// batch bounds that supersede the legacy Batch fields.
+	// QoS configures edge-level tuple batching on the emission hot path:
+	// the end-to-end latency budget driving adaptive flush deadlines, the
+	// batch message bound, and the unbatched switch.
 	QoS QoS
 	// BatchStats, when non-nil, accumulates per-flush batch sizes.
 	BatchStats *metrics.BatchSizes
@@ -362,8 +360,7 @@ type Node struct {
 	// idle), swapped atomically on configuration, restore and handoff.
 	pipe atomic.Pointer[pipeline]
 	// routes is the epoch-stamped Primary/Standby cache (routecache.go).
-	routes   atomic.Pointer[routeSnapshot]
-	epochRes EpochResolver // non-nil when the resolver supports epochs
+	routes atomic.Pointer[routeSnapshot]
 
 	// role and suppress gate emission on the lock-free output path.
 	role     atomic.Int32
@@ -490,13 +487,8 @@ func New(cfg Config) *Node {
 		n.tracer = cfg.Obs.Tracer
 		n.journal = cfg.Obs.Journal
 	}
-	if !cfg.NoRouteCache {
-		if er, ok := cfg.Resolver.(EpochResolver); ok {
-			n.epochRes = er
-		}
-	}
 	n.cond = sync.NewCond(&n.mu)
-	n.batch = newBatcher(n, cfg.QoS.mergeBatch(cfg.Batch))
+	n.batch = newBatcher(n, cfg.QoS)
 	n.logf = cfg.Logf
 	if n.logf == nil {
 		n.logf = func(string, ...interface{}) {}
@@ -550,7 +542,7 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 		}
 	}
 	n.align = checkpoint.NewAlignment(n.alignUpstreams)
-	n.batch.setBudget(n.slotBudgetShare(slot), n.cfg.QoS.minFlush())
+	n.batch.setBudget(n.slotBudgetShare(slot))
 	n.pipe.Store(p)
 }
 
@@ -595,7 +587,7 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.persistLoop()
 	}
-	if !n.batch.cfg.Disable {
+	if !n.batch.disabled {
 		n.wg.Add(1)
 		go n.flushLoop()
 	}
@@ -1457,7 +1449,7 @@ func (n *Node) doTokenCheckpoint(v uint64) {
 		n.logf("%s: checkpoint v%d: %v", n.id, v, err)
 		return
 	}
-	n.clk.Sleep(n.cfg.Checkpoint.copyTime(blob.FullSize))
+	n.clk.Sleep(copyTime(blob.FullSize))
 	if n.cfg.Checkpoint.FullOnly {
 		n.clk.Sleep(n.cfg.Phone.FlashWriteTime(blob.Size))
 	}
@@ -1522,8 +1514,8 @@ func (n *Node) doResend(downstream string, after uint64) {
 	n.mu.Lock()
 	fromSlot := n.slot
 	n.mu.Unlock()
-	maxMsgs, maxBytes := n.batch.cfg.MaxMsgs, n.batch.cfg.MaxBytes
-	if n.batch.cfg.Disable {
+	maxMsgs := n.batch.maxMsgs
+	if n.batch.disabled {
 		maxMsgs = 1
 	}
 	var msgs []StreamMsg
@@ -1544,7 +1536,7 @@ func (n *Node) doResend(downstream string, after uint64) {
 		msgs = append(msgs, StreamMsg{FromSlot: fromSlot, FromOp: e.FromOp, ToSlot: downstream,
 			ToOp: e.ToOp, EdgeSeq: e.EdgeSeq, Item: tuple.DataItem(e.T)})
 		bytes += e.T.Size
-		if len(msgs) >= maxMsgs || bytes >= maxBytes {
+		if len(msgs) >= maxMsgs || bytes >= batchMaxBytes {
 			flush()
 		}
 	}

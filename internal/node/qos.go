@@ -7,10 +7,8 @@ import (
 	"mobistreams/internal/graph"
 )
 
-// QoS consolidates the output-path quality-of-service knobs that were
-// previously scattered across the raw BatchConfig bounds. The zero value
-// changes nothing: legacy BatchConfig fields pass through untouched, so
-// old-style configurations behave identically.
+// QoS holds the output-path quality-of-service knobs. The zero value
+// batches with the default bounds (batch.go) and a fixed flush deadline.
 type QoS struct {
 	// LatencyBudget is the end-to-end latency target for tuples flowing
 	// from this graph's sources to its sinks. Non-zero enables adaptive
@@ -21,40 +19,10 @@ type QoS struct {
 	// (the stream is too slow to fill batches inside the deadline), a
 	// size-triggered flush grows it back toward the share.
 	LatencyBudget time.Duration
-	// MaxBatchMsgs bounds batch size in messages, superseding the
-	// deprecated BatchConfig.MaxMsgs when non-zero.
+	// MaxBatchMsgs bounds batch size in messages (default 32).
 	MaxBatchMsgs int
-	// MaxBatchBytes bounds batch size in payload bytes, superseding the
-	// deprecated BatchConfig.MaxBytes when non-zero.
-	MaxBatchBytes int
-	// MinFlush floors the adaptive flush deadline (default 1ms).
-	MinFlush time.Duration
-	// DisableBatching sends every message individually, superseding
-	// BatchConfig.Disable.
+	// DisableBatching sends every message individually.
 	DisableBatching bool
-}
-
-// mergeBatch folds the QoS batch bounds over the legacy BatchConfig. A
-// zero QoS returns the legacy config unchanged — the compatibility
-// adapter that keeps old-style size/latency bounds working.
-func (q QoS) mergeBatch(legacy BatchConfig) BatchConfig {
-	if q.MaxBatchMsgs > 0 {
-		legacy.MaxMsgs = q.MaxBatchMsgs
-	}
-	if q.MaxBatchBytes > 0 {
-		legacy.MaxBytes = q.MaxBatchBytes
-	}
-	if q.DisableBatching {
-		legacy.Disable = true
-	}
-	return legacy
-}
-
-func (q QoS) minFlush() time.Duration {
-	if q.MinFlush > 0 {
-		return q.MinFlush
-	}
-	return time.Millisecond
 }
 
 // slotHops is the longest chain of cross-slot edges from slot to a sink
@@ -102,15 +70,16 @@ func (n *Node) slotBudgetShare(slot string) time.Duration {
 }
 
 // setBudget installs (or clears) the batcher's adaptive deadline range:
-// the slot's budget share as the cap and initial deadline, min as the
-// floor. share <= 0 disables adaptation (legacy fixed FlushInterval).
-func (b *batcher) setBudget(share, min time.Duration) {
+// the slot's budget share as the cap and initial deadline, minFlushDeadline
+// as the floor. share <= 0 disables adaptation (fixed batchFlushInterval).
+func (b *batcher) setBudget(share time.Duration) {
 	if share <= 0 {
 		atomic.StoreInt64(&b.capNs, 0)
 		atomic.StoreInt64(&b.deadlineNs, 0)
 		return
 	}
-	if min <= 0 || min > share {
+	min := minFlushDeadline
+	if min > share {
 		min = share
 	}
 	atomic.StoreInt64(&b.minNs, int64(min))
@@ -119,13 +88,13 @@ func (b *batcher) setBudget(share, min time.Duration) {
 }
 
 // flushInterval is the live latency bound the flush loop waits on: the
-// adaptive deadline when QoS batching is on, the fixed legacy interval
+// adaptive deadline when a latency budget is set, the fixed interval
 // otherwise.
 func (b *batcher) flushInterval() time.Duration {
 	if d := atomic.LoadInt64(&b.deadlineNs); d > 0 {
 		return time.Duration(d)
 	}
-	return b.cfg.FlushInterval
+	return batchFlushInterval
 }
 
 // noteSizeFlush records a size-triggered flush: batches are filling
@@ -150,7 +119,7 @@ func (b *batcher) noteSizeFlush() {
 // stop paying coalescing wait the workload cannot use.
 func (b *batcher) noteLatencyFlush(msgs int) {
 	cap := atomic.LoadInt64(&b.capNs)
-	if cap == 0 || msgs >= b.cfg.MaxMsgs/2 {
+	if cap == 0 || msgs >= b.maxMsgs/2 {
 		return
 	}
 	cur := atomic.LoadInt64(&b.deadlineNs)

@@ -7,41 +7,42 @@ import (
 	"mobistreams/internal/graph"
 )
 
-// TestQoSZeroIsLegacyBatching is the compatibility regression: a zero QoS
-// must leave old-style BatchConfig behavior untouched — same merged
-// bounds, the fixed legacy flush interval, and no deadline adaptation.
+// TestQoSZeroIsLegacyBatching pins the zero-QoS batching defaults — 32
+// messages, 64 KiB, a fixed 20 ms flush deadline with no adaptation, a
+// 1 ms adaptive floor — the bounds the retired BatchConfig defaulted to.
 func TestQoSZeroIsLegacyBatching(t *testing.T) {
-	legacy := BatchConfig{MaxMsgs: 7, MaxBytes: 1234, FlushInterval: 9 * time.Millisecond}
-	var q QoS
-	if got := q.mergeBatch(legacy); got != legacy {
-		t.Fatalf("zero QoS changed legacy config: %+v", got)
+	if batchMaxBytes != 64<<10 || minFlushDeadline != time.Millisecond {
+		t.Fatalf("byte bound %d, adaptive floor %v", batchMaxBytes, minFlushDeadline)
 	}
-	b := newBatcher(nil, q.mergeBatch(legacy))
-	if got := b.flushInterval(); got != legacy.FlushInterval {
-		t.Fatalf("flushInterval = %v, want legacy %v", got, legacy.FlushInterval)
+	b := newBatcher(nil, QoS{})
+	if b.maxMsgs != 32 || b.disabled {
+		t.Fatalf("zero QoS: maxMsgs %d, disabled %v", b.maxMsgs, b.disabled)
+	}
+	if got := b.flushInterval(); got != 20*time.Millisecond {
+		t.Fatalf("flushInterval = %v, want 20ms", got)
 	}
 	b.noteSizeFlush()
 	b.noteLatencyFlush(0)
-	if got := b.flushInterval(); got != legacy.FlushInterval {
-		t.Fatalf("flushInterval moved to %v with QoS off", got)
+	if got := b.flushInterval(); got != 20*time.Millisecond {
+		t.Fatalf("flushInterval moved to %v without a latency budget", got)
 	}
 }
 
+// TestQoSMergeOverridesLegacyBounds checks the two bounds QoS can still
+// override over the defaults, and that neither touches the flush interval.
 func TestQoSMergeOverridesLegacyBounds(t *testing.T) {
-	legacy := BatchConfig{MaxMsgs: 32, MaxBytes: 64 << 10, FlushInterval: 20 * time.Millisecond}
-	q := QoS{MaxBatchMsgs: 8, MaxBatchBytes: 4096, DisableBatching: true}
-	got := q.mergeBatch(legacy)
-	if got.MaxMsgs != 8 || got.MaxBytes != 4096 || !got.Disable {
-		t.Fatalf("merged = %+v", got)
+	b := newBatcher(nil, QoS{MaxBatchMsgs: 8, DisableBatching: true})
+	if b.maxMsgs != 8 || !b.disabled {
+		t.Fatalf("overrides ignored: maxMsgs %d, disabled %v", b.maxMsgs, b.disabled)
 	}
-	if got.FlushInterval != legacy.FlushInterval {
-		t.Fatalf("merge touched FlushInterval: %v", got.FlushInterval)
+	if got := b.flushInterval(); got != 20*time.Millisecond {
+		t.Fatalf("overrides touched flushInterval: %v", got)
 	}
 }
 
 func TestAdaptiveDeadlineTracksFlushCauses(t *testing.T) {
-	b := newBatcher(nil, BatchConfig{MaxMsgs: 32})
-	b.setBudget(100*time.Millisecond, time.Millisecond)
+	b := newBatcher(nil, QoS{})
+	b.setBudget(100 * time.Millisecond)
 	if got := b.flushInterval(); got != 100*time.Millisecond {
 		t.Fatalf("initial deadline = %v, want the full budget share", got)
 	}

@@ -2,18 +2,6 @@ package node
 
 import "mobistreams/internal/simnet"
 
-// EpochResolver is a Resolver whose placement carries a monotonically
-// increasing epoch: any change to a slot's primary or standby bumps the
-// epoch. Nodes cache resolutions per slot and invalidate the whole cache on
-// an epoch change, replacing the per-send resolver round-trip (a region-
-// wide mutex plus a map lookup) with one atomic epoch load — while keeping
-// failover correctness, because recovery, migration and handoff all repoint
-// placements through epoch-bumping region calls.
-type EpochResolver interface {
-	Resolver
-	Epoch() uint64
-}
-
 // routeEntry caches one resolution, including negative results (an
 // unplaced slot or a promoted-away standby stays unresolvable until the
 // next epoch bump).
@@ -32,14 +20,9 @@ type routeSnapshot struct {
 	standby map[string]routeEntry
 }
 
-// resolvePrimary resolves a slot's primary through the epoch cache, or
-// straight through the resolver when caching is unavailable or disabled.
+// resolvePrimary resolves a slot's primary through the epoch cache.
 func (n *Node) resolvePrimary(slot string) (simnet.NodeID, bool) {
-	er := n.epochRes
-	if er == nil {
-		return n.cfg.Resolver.Primary(slot)
-	}
-	epoch := er.Epoch()
+	epoch := n.cfg.Resolver.Epoch()
 	rs := n.routes.Load()
 	if rs != nil && rs.epoch == epoch {
 		if e, hit := rs.primary[slot]; hit {
@@ -49,25 +32,21 @@ func (n *Node) resolvePrimary(slot string) (simnet.NodeID, bool) {
 	// The epoch must be read before the resolution: if a placement change
 	// slips between the two, the stored snapshot carries the old epoch
 	// and self-invalidates on the next lookup.
-	id, ok := er.Primary(slot)
+	id, ok := n.cfg.Resolver.Primary(slot)
 	n.installRoute(rs, epoch, slot, routeEntry{id, ok}, true)
 	return id, ok
 }
 
 // resolveStandby resolves a slot's standby through the epoch cache.
 func (n *Node) resolveStandby(slot string) (simnet.NodeID, bool) {
-	er := n.epochRes
-	if er == nil {
-		return n.cfg.Resolver.Standby(slot)
-	}
-	epoch := er.Epoch()
+	epoch := n.cfg.Resolver.Epoch()
 	rs := n.routes.Load()
 	if rs != nil && rs.epoch == epoch {
 		if e, hit := rs.standby[slot]; hit {
 			return e.id, e.ok
 		}
 	}
-	id, ok := er.Standby(slot)
+	id, ok := n.cfg.Resolver.Standby(slot)
 	n.installRoute(rs, epoch, slot, routeEntry{id, ok}, false)
 	return id, ok
 }

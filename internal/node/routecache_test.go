@@ -68,11 +68,8 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		Batch:    BatchConfig{Disable: true},
+		QoS:      QoS{DisableBatching: true},
 	})
-	if n.epochRes == nil {
-		t.Fatal("node did not adopt the epoch resolver")
-	}
 
 	const perPhase = 200
 	send := func(seq uint64) {
@@ -156,7 +153,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		Batch:    BatchConfig{Disable: true},
+		QoS:      QoS{DisableBatching: true},
 	})
 
 	// Warm the cache on the doomed primary, then kill it.

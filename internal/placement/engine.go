@@ -11,8 +11,8 @@ import (
 // Config parameterises the planning engine.
 type Config struct {
 	// SparesPerDomain is the warm spare pool kept per slot-hosting domain
-	// (default 1). Domains whose Poisson departure-rate estimate exceeds
-	// DepartRateBoost hold one extra.
+	// (default 1). Domains whose Poisson departure-rate estimate reaches
+	// departRateBoost hold one extra.
 	SparesPerDomain int
 	// HazardHorizon is how far ahead a forecast departure triggers an
 	// evacuation (default 75 s — ahead of the greedy scorer's reactive
@@ -20,13 +20,14 @@ type Config struct {
 	HazardHorizon time.Duration
 	// MaxMigrations bounds migrate steps per plan (default 4).
 	MaxMigrations int
-	// MinBatteryFraction excludes weak phones from targets and spare pools
-	// (default 0.15).
-	MinBatteryFraction float64
-	// DepartRateBoost is the per-domain departure rate (phones/minute)
-	// above which the domain's spare pool grows by one (default 1.5).
-	DepartRateBoost float64
 }
+
+// minBatteryFraction excludes weak phones from targets and spare pools.
+const minBatteryFraction = 0.15
+
+// departRateBoost is the per-domain departure rate (phones/minute) from
+// which the domain's spare pool grows by one.
+const departRateBoost = 1.5
 
 func (c *Config) applyDefaults() {
 	if c.SparesPerDomain <= 0 {
@@ -37,12 +38,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 4
-	}
-	if c.MinBatteryFraction <= 0 {
-		c.MinBatteryFraction = 0.15
-	}
-	if c.DepartRateBoost <= 0 {
-		c.DepartRateBoost = 1.5
 	}
 }
 
@@ -120,7 +115,7 @@ func (e *Engine) Plan(s Snapshot) *Plan {
 	candidates := make([][]*Phone, len(s.Domains))
 	for i := range s.Phones {
 		p := &s.Phones[i]
-		if !(p.Idle || p.Spare) || !f.healthy(i, p, e.cfg.MinBatteryFraction) {
+		if !(p.Idle || p.Spare) || !f.healthy(i, p) {
 			continue
 		}
 		if p.Domain >= 0 && p.Domain < len(candidates) {

@@ -27,38 +27,42 @@ func forecastPhone(s *Snapshot, p *Phone) (hazard, bool) {
 	if p.DrainWatts > 0 && p.BatteryJoules > 0 {
 		note(time.Duration(p.BatteryJoules/p.DrainWatts*float64(time.Second)), "battery")
 	}
-	if in, crossing := timeToBoundary(s, p); crossing {
+	if in, crossing := TimeToBoundary(s.RadiusM, p.X, p.Y, p.VelX, p.VelY); crossing {
 		note(in, "trajectory")
 	}
 	return best, ok
 }
 
-// timeToBoundary extrapolates the phone's straight-line trajectory to the
-// WiFi range boundary (the same model as scheduler.TimeToBoundary, kept
-// local so the planner stays a leaf package). Positions are relative to
-// the region centre.
-func timeToBoundary(s *Snapshot, p *Phone) (time.Duration, bool) {
-	if s.RadiusM <= 0 {
+// TimeToBoundary extrapolates a straight-line trajectory to a WiFi range
+// boundary of radiusM metres. The position (x, y) is relative to the region
+// centre, in metres; the velocity (vx, vy) is in metres per simulated
+// second. It returns (d, true) when the phone is inside the boundary and
+// moving so that it crosses it d from now, (0, true) when it is already
+// out, and (0, false) when the phone is stationary, inbound or tangential,
+// or radiusM <= 0 (no boundary configured).
+func TimeToBoundary(radiusM, x, y, vx, vy float64) (time.Duration, bool) {
+	if radiusM <= 0 {
 		return 0, false
 	}
-	dist := math.Sqrt(p.X*p.X + p.Y*p.Y)
-	if dist >= s.RadiusM {
-		return 0, true // already out
+	dist := math.Sqrt(x*x + y*y)
+	if dist >= radiusM {
+		return 0, true // already out: cross immediately
 	}
-	speed := math.Sqrt(p.VelX*p.VelX + p.VelY*p.VelY)
+	speed := math.Sqrt(vx*vx + vy*vy)
 	if speed <= 0 {
 		return 0, false
 	}
+	// Radial component of the velocity: outward speed toward the boundary.
 	var vr float64
 	if dist > 0 {
-		vr = (p.X*p.VelX + p.Y*p.VelY) / dist
+		vr = (x*vx + y*vy) / dist
 	} else {
 		vr = speed
 	}
 	if vr <= 0 {
 		return 0, false
 	}
-	return time.Duration((s.RadiusM - dist) / vr * float64(time.Second)), true
+	return time.Duration((radiusM - dist) / vr * float64(time.Second)), true
 }
 
 // forecast is the per-plan hazard view: which phones are predicted to leave
@@ -84,11 +88,11 @@ func (f *forecast) doomedPhone(s *Snapshot, id string) (hazard, bool) {
 
 // healthy reports whether a phone is a sound migration target or spare: in
 // service, enough battery headroom, and not predicted to leave.
-func (f *forecast) healthy(i int, p *Phone, minBattery float64) bool {
+func (f *forecast) healthy(i int, p *Phone) bool {
 	if _, bad := f.doomed[i]; bad {
 		return false
 	}
-	return p.BatteryFraction <= 0 || p.BatteryFraction >= minBattery
+	return p.BatteryFraction <= 0 || p.BatteryFraction >= minBatteryFraction
 }
 
 // runForecast builds the hazard view for one snapshot and updates the

@@ -29,7 +29,7 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 		if p.Domain < 0 || p.Domain >= nd || used[p.ID] {
 			continue
 		}
-		healthy := f.healthy(i, p, e.cfg.MinBatteryFraction)
+		healthy := f.healthy(i, p)
 		switch {
 		case p.Spare && !healthy:
 			reason := "spare:unfit"
@@ -51,7 +51,7 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 		want := 0
 		if len(pk.planned) > d && pk.planned[d] > 0 {
 			want = e.cfg.SparesPerDomain
-			if f.rate[d] >= e.cfg.DepartRateBoost {
+			if f.rate[d] >= departRateBoost {
 				want++
 			}
 		}
@@ -78,7 +78,7 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 				return idle[i].ID < idle[j].ID
 			})
 			reason := "spare:pool"
-			if f.rate[d] >= e.cfg.DepartRateBoost {
+			if f.rate[d] >= departRateBoost {
 				reason = "spare:churn"
 			}
 			for i := 0; i < deficit && i < len(idle); i++ {

@@ -55,24 +55,14 @@ type Config struct {
 	// scheduler's departure prediction; RadiusM 0 disables it.
 	Centre  phone.Position
 	RadiusM float64
-	// Batch bounds edge-level tuple batching on every node's emission
-	// path; the zero value enables batching with defaults.
-	//
-	// Deprecated: prefer QoS, which consolidates the batching knobs behind
-	// a latency budget. Batch remains supported; non-zero QoS fields
-	// override it field-by-field.
-	Batch node.BatchConfig
-	// QoS consolidates output-path quality-of-service: an end-to-end
-	// latency budget driving adaptive batch-flush deadlines, plus batch
-	// size bounds. The zero value leaves legacy Batch behavior untouched.
+	// QoS configures edge-level tuple batching on every node's emission
+	// path: an end-to-end latency budget driving adaptive batch-flush
+	// deadlines, plus the batch message bound. The zero value batches
+	// with the default bounds.
 	QoS node.QoS
 	// Checkpoint configures every node's snapshot pipeline (the zero
-	// value is incremental-async with default chain/copy parameters).
+	// value is incremental-async).
 	Checkpoint node.CheckpointConfig
-	// NoRouteCache makes every node consult the placement resolver on
-	// each send instead of the epoch-stamped route cache (the pre-cache
-	// data plane, kept for benchmarks and regression comparison).
-	NoRouteCache bool
 	// OnSinkOutput publishes deduplicated sink results beyond the region
 	// (inter-region cascading); may be nil.
 	OnSinkOutput func(publisher simnet.NodeID, t *tuple.Tuple)
@@ -135,6 +125,10 @@ type Region struct {
 	// channel domain — the placement forecaster's Poisson departure-rate
 	// input. Sized on first use to the medium's channel count.
 	domainDeparts []int64
+	// retired holds the nodes of unregistered phones. They keep running —
+	// a handed-off node may still relay stragglers to its slot's new
+	// home — until Stop shuts them down with the rest.
+	retired []*node.Node
 
 	// teleMu guards the previous-poll energy/processed readings the
 	// telemetry collector differentiates into drain and tuple rates.
@@ -288,13 +282,11 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		Endpoint:          r.endpoints[id],
 		Store:             r.stores[id],
 		Resolver:          (*resolver)(r),
-		NoRouteCache:      r.cfg.NoRouteCache,
 		ControllerID:      r.cfg.ControllerID,
 		Peers:             func() []simnet.NodeID { return r.LivePeers(id) },
 		DistPeers:         r.distPeersFor(slot),
 		Broadcast:         r.cfg.Broadcast,
 		PreserveBroadcast: r.cfg.PreserveBroadcast,
-		Batch:             r.cfg.Batch,
 		QoS:               r.cfg.QoS,
 		Keyed:             r.keyed,
 		BatchStats:        &r.batchStats,
@@ -338,9 +330,7 @@ func (r *Region) buildStandby(slot string) {
 		Endpoint:     ep,
 		Store:        st,
 		Resolver:     (*resolver)(r),
-		NoRouteCache: r.cfg.NoRouteCache,
 		ControllerID: r.cfg.ControllerID,
-		Batch:        r.cfg.Batch,
 		QoS:          r.cfg.QoS,
 		Keyed:        r.keyed,
 		BatchStats:   &r.batchStats,
@@ -351,7 +341,7 @@ func (r *Region) buildStandby(slot string) {
 	r.nodes[sbID] = n
 }
 
-// resolver adapts the region's placement maps to the node.EpochResolver
+// resolver adapts the region's placement maps to the node.Resolver
 // interface: nodes cache resolutions per slot and invalidate on epoch
 // bumps, so the region mutex leaves the per-tuple path.
 type resolver Region
@@ -374,7 +364,7 @@ func (rs *resolver) Standby(slot string) (simnet.NodeID, bool) {
 	return id, ok
 }
 
-// Epoch implements node.EpochResolver.
+// Epoch implements node.Resolver.
 func (rs *resolver) Epoch() uint64 {
 	return atomic.LoadUint64(&(*Region)(rs).placeEpoch)
 }
@@ -436,10 +426,11 @@ func (r *Region) Stop() {
 	}
 	r.stopped = true
 	r.stopping.Store(true)
-	nodes := make([]*node.Node, 0, len(r.nodes))
+	nodes := make([]*node.Node, 0, len(r.nodes)+len(r.retired))
 	for _, n := range r.nodes {
 		nodes = append(nodes, n)
 	}
+	nodes = append(nodes, r.retired...)
 	r.mu.Unlock()
 	for _, n := range nodes {
 		if !n.Failed() {
@@ -880,9 +871,13 @@ func (r *Region) Departed(id simnet.NodeID) bool {
 	return r.departed[id]
 }
 
-// Unregister removes a departed/failed phone from the region entirely.
+// Unregister removes a departed/failed phone from the region entirely. Its
+// node is not stopped here but retired: Stop still shuts it down.
 func (r *Region) Unregister(id simnet.NodeID) {
 	r.mu.Lock()
+	if n := r.nodes[id]; n != nil {
+		r.retired = append(r.retired, n)
+	}
 	delete(r.phones, id)
 	delete(r.nodes, id)
 	r.wifi.Remove(id)

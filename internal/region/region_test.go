@@ -2,6 +2,7 @@ package region_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -546,6 +547,38 @@ func TestConcurrentFailDepartUnregister(t *testing.T) {
 	h.ingest(10)
 	if got := h.waitCount(t, 10, 10*time.Second); got != 10 {
 		t.Fatalf("outputs = %d, want 10", got)
+	}
+}
+
+// TestStopReachesUnregisteredNodes is the departed-phone leak regression:
+// Unregister drops a phone from the region's membership, but its node keeps
+// its goroutines until Stop, which must shut it down with the rest.
+func TestStopReachesUnregisteredNodes(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r, err := region.New(region.Config{
+		ID:       "r1",
+		Graph:    diamondGraph(t),
+		Registry: diamondRegistry(),
+		Scheme:   ft.MSScheme,
+		Phones:   8,
+		Clock:    clock.NewScaled(2000),
+		WiFi:     simnet.WiFiConfig{BitsPerSecond: 100e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	for _, id := range []simnet.NodeID{"r1/p6", "r1/p7", "r1/p8"} { // idle phones
+		r.DepartPhone(id)
+		r.Unregister(id)
+	}
+	r.Stop()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Stop, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

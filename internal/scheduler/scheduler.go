@@ -15,11 +15,11 @@
 package scheduler
 
 import (
-	"math"
 	"sort"
 	"time"
 
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/simnet"
 )
 
@@ -107,35 +107,12 @@ func (h *HeuristicScorer) horizons() (battery time.Duration, low float64, depart
 	return battery, low, depart
 }
 
-// TimeToBoundary extrapolates a straight-line trajectory to the region's
-// WiFi range boundary. It returns (d, true) when the phone is inside the
-// boundary and moving so that it crosses it d from now; (0, false) when the
-// phone is stationary, inbound, or the region has no boundary configured.
+// TimeToBoundary extrapolates the phone's straight-line trajectory to the
+// region's WiFi range boundary (placement.TimeToBoundary, the one
+// trajectory model the scorer and the planner share).
 func TimeToBoundary(rs RegionStats, p PhoneStat) (time.Duration, bool) {
-	if rs.RadiusM <= 0 {
-		return 0, false
-	}
-	dx := p.Position.X - rs.Centre.X
-	dy := p.Position.Y - rs.Centre.Y
-	dist := math.Sqrt(dx*dx + dy*dy)
-	if dist >= rs.RadiusM {
-		return 0, true // already out: cross immediately
-	}
-	speed := math.Sqrt(p.VelX*p.VelX + p.VelY*p.VelY)
-	if speed <= 0 {
-		return 0, false
-	}
-	// Radial component of the velocity: outward speed toward the boundary.
-	var vr float64
-	if dist > 0 {
-		vr = (dx*p.VelX + dy*p.VelY) / dist
-	} else {
-		vr = speed
-	}
-	if vr <= 0 {
-		return 0, false
-	}
-	return time.Duration((rs.RadiusM - dist) / vr * float64(time.Second)), true
+	return placement.TimeToBoundary(rs.RadiusM,
+		p.Position.X-rs.Centre.X, p.Position.Y-rs.Centre.Y, p.VelX, p.VelY)
 }
 
 // Risk implements Scorer.
@@ -198,10 +175,6 @@ type Config struct {
 	// region at once would itself be the disruption the scheduler exists
 	// to avoid (default 2).
 	MaxPerTick int
-	// TargetRiskCeiling excludes candidate targets whose own risk score is
-	// at or above this value (default 0.5): evacuating onto the next phone
-	// to die just doubles the work.
-	TargetRiskCeiling float64
 	// Cooldowns is the shared per-slot disruption ledger. Pass the same
 	// instance to the ElasticPolicy (and Planner) serving the region so
 	// migrations and split/merges see each other's cooldowns; a private
@@ -219,13 +192,14 @@ func (c *Config) applyDefaults() {
 	if c.MaxPerTick <= 0 {
 		c.MaxPerTick = 2
 	}
-	if c.TargetRiskCeiling <= 0 {
-		c.TargetRiskCeiling = 0.5
-	}
 	if c.Cooldowns == nil {
 		c.Cooldowns = NewCooldowns()
 	}
 }
+
+// targetRiskCeiling excludes candidate targets whose own risk score is at
+// or above it: evacuating onto the next phone to die just doubles the work.
+const targetRiskCeiling = 0.5
 
 // Scheduler plans migrations from telemetry. One Scheduler may serve many
 // regions (the controller runs one planning loop per region against a
@@ -260,7 +234,7 @@ func (s *Scheduler) Plan(rs RegionStats) []Migration {
 	// score first.
 	var targets []PhoneStat
 	for _, p := range rs.Phones {
-		if p.Idle && risks[p.ID].Score < s.cfg.TargetRiskCeiling {
+		if p.Idle && risks[p.ID].Score < targetRiskCeiling {
 			targets = append(targets, p)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/simnet"
 )
 
@@ -41,29 +42,34 @@ func TestRiskLowFraction(t *testing.T) {
 	}
 }
 
+// TestTimeToBoundary runs each case through the shared trajectory model
+// (placement.TimeToBoundary) and through the scorer's wrapper, whose region
+// centre is offset so the relative-position translation is exercised too.
 func TestTimeToBoundary(t *testing.T) {
-	rs := stats()
-	// 60 m out, moving radially outward at 2 m/s: boundary in 20 s.
-	p := PhoneStat{Position: phone.Position{X: 60}, VelX: 2}
-	d, ok := TimeToBoundary(rs, p)
-	if !ok || d != 20*time.Second {
-		t.Fatalf("ttb = %v/%v, want 20s", d, ok)
-	}
-	// Inbound phone never crosses.
-	p.VelX = -2
-	if _, ok := TimeToBoundary(rs, p); ok {
-		t.Fatal("inbound phone flagged as crossing")
-	}
-	// Tangential motion never crosses.
-	p.VelX, p.VelY = 0, 5
-	if _, ok := TimeToBoundary(rs, p); ok {
-		t.Fatal("tangential phone flagged as crossing")
-	}
-	// No boundary configured disables prediction.
-	rs.RadiusM = 0
-	p.VelX = 2
-	if _, ok := TimeToBoundary(rs, p); ok {
-		t.Fatal("boundary-less region predicted a crossing")
+	for _, c := range []struct {
+		name              string
+		radius, x, vx, vy float64
+		want              time.Duration
+		ok                bool
+	}{
+		// 60 m out, moving radially outward at 2 m/s: boundary in 20 s.
+		{"outbound", 100, 60, 2, 0, 20 * time.Second, true},
+		{"inbound", 100, 60, -2, 0, 0, false},
+		{"tangential", 100, 60, 0, 5, 0, false},
+		{"stationary", 100, 60, 0, 0, 0, false},
+		{"already out", 100, 120, 0, 0, 0, true},
+		{"no boundary", 0, 60, 2, 0, 0, false},
+	} {
+		d, ok := placement.TimeToBoundary(c.radius, c.x, 0, c.vx, c.vy)
+		if d != c.want || ok != c.ok {
+			t.Fatalf("%s: placement ttb = %v/%v, want %v/%v", c.name, d, ok, c.want, c.ok)
+		}
+		rs := RegionStats{Centre: phone.Position{X: 10, Y: -5}, RadiusM: c.radius}
+		p := PhoneStat{Position: phone.Position{X: 10 + c.x, Y: -5}, VelX: c.vx, VelY: c.vy}
+		d, ok = TimeToBoundary(rs, p)
+		if d != c.want || ok != c.ok {
+			t.Fatalf("%s: scheduler ttb = %v/%v, want %v/%v", c.name, d, ok, c.want, c.ok)
+		}
 	}
 }
 

@@ -100,15 +100,9 @@ type (
 	Scheme = ft.Scheme
 	// Report summarises a region's metrics.
 	Report = metrics.Report
-	// BatchConfig bounds edge-level tuple batching.
-	//
-	// Deprecated: prefer QoS, which consolidates the batching knobs
-	// behind a latency budget; BatchConfig keeps working and is
-	// overridden field-by-field by non-zero QoS fields.
-	BatchConfig = node.BatchConfig
-	// QoS consolidates output-path quality of service: an end-to-end
-	// latency budget driving adaptive batch-flush deadlines, plus batch
-	// size bounds.
+	// QoS configures output-path quality of service: an end-to-end
+	// latency budget driving adaptive batch-flush deadlines, plus the
+	// batch message bound.
 	QoS = node.QoS
 )
 
@@ -185,15 +179,10 @@ type RegionSpec struct {
 	// cannot express.
 	LosslessWiFi bool
 	Seed         int64
-	// Batch bounds edge-level tuple batching on every node's emission
-	// path; the zero value enables batching with defaults.
-	//
-	// Deprecated: prefer QoS; non-zero QoS fields override Batch
-	// field-by-field while the zero QoS leaves Batch behavior untouched.
-	Batch BatchConfig
-	// QoS consolidates the output-path quality-of-service knobs: a
-	// latency budget enabling adaptive batch-flush deadlines plus batch
-	// size bounds (see node.QoS).
+	// QoS configures edge-level tuple batching on every node's emission
+	// path: a latency budget enabling adaptive batch-flush deadlines plus
+	// the batch message bound (see node.QoS). The zero value batches with
+	// the default bounds.
 	QoS QoS
 	// OnOutput receives every deduplicated sink result; may be nil.
 	OnOutput func(t *Tuple)
@@ -312,7 +301,6 @@ func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
 		ControllerID:      s.ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: spec.Scheme.Kind == ft.MS,
-		Batch:             spec.Batch,
 		QoS:               spec.QoS,
 		OnSinkOutput:      wrapped.publish,
 		Logf:              s.cfg.Logf,
