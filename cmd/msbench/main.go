@@ -16,29 +16,27 @@
 //	msbench -exp scale          # region size × WiFi channels throughput sweep (one row per pair)
 //	msbench -exp emit           # emit-context contract vs legacy []Out adapter
 //	msbench -exp wire           # wire codec encode/decode cost
+//	msbench -exp obs            # observability overhead on the emit path
 //	msbench -exp elastic        # static vs elastic keyed parallelism, moving hotspot
 //	msbench -exp federation     # control fan-out vs region count, gossip vs unicast
 //	msbench -exp placement      # greedy scorer vs topology-aware placement planner
 //
-// -churnout / -ckptout / -scaleout / -emitout / -wireout / -elasticout /
-// -fedout / -placeout write the churn, checkpoint, scale, emit, wire,
-// elastic, federation and placement comparisons as machine-readable JSON
-// (BENCH_scheduler.json / BENCH_checkpoint.json / BENCH_scale.json /
-// BENCH_emit.json / BENCH_wire.json / BENCH_elastic.json /
-// BENCH_federation.json / BENCH_placement.json in CI) alongside the printed
-// tables.
+// An unknown experiment or app name exits 2 with the list of valid names.
+//
+// -out DIR writes each of the nine gated experiments (churn, checkpoint,
+// scale, emit, wire, obs, elastic, federation, placement) as
+// DIR/<experiment>.json alongside the printed tables: its rows and the
+// metrics it reduces them to (see bench.Result).
 //
 // -compare is the CI benchmark-regression gate: it reads the committed
-// baseline (BENCH_baseline.json) plus the fresh churn/checkpoint/scale/
-// emit/wire/elastic/federation/placement JSON and exits non-zero when tuple
-// loss, checkpoint pause, largest-region throughput, the elastic run's
-// hotspot p99, the federation sweep's busiest-node control bytes per phone,
-// or the placement planner's tuple loss relative to the greedy baseline
-// regressed more than 20% against the baseline, when the emit-context
-// path or the wire encode path allocates per operation (both pinned at 0),
-// when the federation sweep leaks a duplicate cross-region output
-// (pinned at 0), or when the placement planner stops beating the greedy
-// scorer on cross-channel airtime share.
+// baseline (-baseline, BENCH_baseline.json) and the metrics in DIR/*.json,
+// checks each against the bound table in compare.go, and exits non-zero
+// when a metric is missing or past its limit: tuple loss, checkpoint
+// pause, throughput, hotspot p99, control bytes and the placement loss
+// ratio may regress at most 20% plus a grace term; the emit, wire-encode
+// and traced-path allocations and every duplicate count are pinned at 0;
+// and the placement planner must beat the greedy scorer on cross-channel
+// airtime share.
 //
 // -cpuprofile / -memprofile write pprof profiles so hot-path regressions
 // caught by the gate are diagnosable straight from CI artifacts.
@@ -50,6 +48,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -57,40 +56,70 @@ import (
 	"mobistreams/internal/bench"
 )
 
+// experiments is every -exp name besides "all".
+var experiments = []string{"table1", "fig6", "fig8", "fig9", "fig10", "churn", "checkpoint", "scale", "emit", "wire", "obs", "elastic", "federation", "placement"}
+
+// checkExp rejects an -exp value that names no experiment.
+func checkExp(name string) error {
+	if name == "all" || slices.Contains(experiments, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s|all)", name, strings.Join(experiments, "|"))
+}
+
+// parseApps turns the -apps list into apps, rejecting an unknown name.
+func parseApps(list string) ([]bench.App, error) {
+	var apps []bench.App
+	for _, a := range strings.Split(list, ",") {
+		switch strings.TrimSpace(a) {
+		case "bcp":
+			apps = append(apps, bench.BCP)
+		case "sg", "signalguru":
+			apps = append(apps, bench.SG)
+		default:
+			return nil, fmt.Errorf("unknown app %q (valid: bcp|sg|signalguru)", a)
+		}
+	}
+	return apps, nil
+}
+
+// save writes one gated experiment's result under dir, when set.
+func save[R any](dir, exp string, seed int64, rows []R, m bench.Metrics) error {
+	if dir == "" {
+		return nil
+	}
+	path, err := bench.WriteResult(dir, exp, seed, rows, m)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig6|fig8|fig9|fig10|churn|checkpoint|scale|emit|wire|obs|elastic|federation|placement|all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|")+"|all")
 	maxK := flag.Int("maxk", 8, "maximum simultaneous failures/departures for fig9")
-	churnOut := flag.String("churnout", "", "write churn comparison JSON to this path")
-	ckptOut := flag.String("ckptout", "", "write checkpoint comparison JSON to this path")
-	scaleOut := flag.String("scaleout", "", "write scale sweep JSON to this path")
-	emitOut := flag.String("emitout", "", "write emit-path comparison JSON to this path")
-	emitIters := flag.Int("emititers", 200000, "tuples per emit-path measurement")
-	wireOut := flag.String("wireout", "", "write wire-codec comparison JSON to this path")
-	wireIters := flag.Int("wireiters", 200000, "frames per wire-codec measurement")
-	obsOut := flag.String("obsout", "", "write observability-overhead JSON to this path")
-	obsIters := flag.Int("obsiters", 200000, "tuples per observability-overhead measurement")
-	elasticOut := flag.String("elasticout", "", "write elastic-parallelism comparison JSON to this path")
-	fedOut := flag.String("fedout", "", "write federation fan-out sweep JSON to this path")
-	placeOut := flag.String("placeout", "", "write placement planner comparison JSON to this path")
 	scaleMax := flag.Int("scalemax", 64, "largest region size for the scale sweep (8..128)")
 	scaleChannels := flag.String("scalechannels", "1,4", "comma-separated WiFi channel counts for the scale sweep (one row per region size and count)")
 	seed := flag.Int64("seed", 1, "workload and loss seed")
 	speedup := flag.Float64("speedup", 200, "simulated-to-wall clock ratio")
 	apps := flag.String("apps", "bcp,sg", "comma-separated apps: bcp,sg")
-	compare := flag.Bool("compare", false, "benchmark-regression gate: compare fresh results to the baseline and exit non-zero on regression")
+	out := flag.String("out", "", "directory for the gated experiments' <experiment>.json results, and the results -compare reads")
+	compare := flag.Bool("compare", false, "benchmark-regression gate: compare the results in -out to the baseline and exit non-zero on regression")
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline metrics for -compare")
-	churnJSON := flag.String("churnjson", "BENCH_scheduler.json", "fresh churn results for -compare")
-	ckptJSON := flag.String("ckptjson", "BENCH_checkpoint.json", "fresh checkpoint results for -compare")
-	scaleJSON := flag.String("scalejson", "BENCH_scale.json", "fresh scale results for -compare")
-	emitJSON := flag.String("emitjson", "BENCH_emit.json", "fresh emit-path results for -compare")
-	wireJSON := flag.String("wirejson", "BENCH_wire.json", "fresh wire-codec results for -compare")
-	obsJSON := flag.String("obsjson", "BENCH_obs.json", "fresh observability-overhead results for -compare")
-	elasticJSON := flag.String("elasticjson", "BENCH_elastic.json", "fresh elastic-parallelism results for -compare")
-	fedJSON := flag.String("fedjson", "BENCH_federation.json", "fresh federation fan-out results for -compare")
-	placeJSON := flag.String("placejson", "BENCH_placement.json", "fresh placement planner results for -compare")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path at exit")
 	flag.Parse()
+
+	if err := checkExp(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	appList, err := parseApps(*apps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -121,7 +150,11 @@ func main() {
 	}
 
 	if *compare {
-		if err := runCompare(*baselinePath, *churnJSON, *ckptJSON, *scaleJSON, *emitJSON, *wireJSON, *obsJSON, *elasticJSON, *fedJSON, *placeJSON, os.Stdout); err != nil {
+		if *out == "" {
+			fmt.Fprintln(os.Stderr, "-compare needs -out DIR")
+			os.Exit(2)
+		}
+		if err := runCompare(*baselinePath, *out, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "benchmark regression gate: %v\n", err)
 			os.Exit(1)
 		}
@@ -129,19 +162,6 @@ func main() {
 	}
 
 	base := bench.Scenario{Seed: *seed, Speedup: *speedup}
-	var appList []bench.App
-	for _, a := range strings.Split(*apps, ",") {
-		switch strings.TrimSpace(a) {
-		case "bcp":
-			appList = append(appList, bench.BCP)
-		case "sg", "signalguru":
-			appList = append(appList, bench.SG)
-		}
-	}
-	if len(appList) == 0 {
-		fmt.Fprintln(os.Stderr, "no apps selected")
-		os.Exit(2)
-	}
 
 	run := func(name string, fn func() error) {
 		start := time.Now()
@@ -195,24 +215,12 @@ func main() {
 	}
 	if want("checkpoint") {
 		run("checkpoint", func() error {
-			ckptBase := bench.CkptScenario{Seed: *seed, Speedup: *speedup}
-			rows, err := bench.CkptComparison(ckptBase, nil)
+			rows, err := bench.CkptComparison(bench.CkptScenario{Seed: *seed, Speedup: *speedup}, nil)
 			if err != nil {
 				return err
 			}
 			bench.WriteCkptTable(os.Stdout, rows)
-			if *ckptOut != "" {
-				f, err := os.Create(*ckptOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteCkptJSON(f, ckptBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *ckptOut)
-			}
-			return nil
+			return save(*out, "checkpoint", *seed, rows, bench.CkptMetrics(rows))
 		})
 	}
 	if want("scale") {
@@ -237,75 +245,30 @@ func main() {
 				}
 				channels = append(channels, n)
 			}
-			scaleBase := bench.ScaleScenario{Seed: *seed, Speedup: *speedup}
-			rows, err := bench.ScaleComparison(scaleBase, sizes, channels)
+			rows, err := bench.ScaleComparison(bench.ScaleScenario{Seed: *seed, Speedup: *speedup}, sizes, channels)
 			if err != nil {
 				return err
 			}
 			bench.WriteScaleTable(os.Stdout, rows)
-			if *scaleOut != "" {
-				f, err := os.Create(*scaleOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteScaleJSON(f, scaleBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *scaleOut)
-			}
-			return nil
+			return save(*out, "scale", *seed, rows, bench.ScaleMetrics(rows))
 		})
 	}
 	if want("emit") {
 		run("emit", func() error {
-			rep := bench.RunEmit(*emitIters, os.Stdout)
-			if *emitOut != "" {
-				f, err := os.Create(*emitOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteEmitJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *emitOut)
-			}
-			return nil
+			rows := bench.RunEmit(os.Stdout)
+			return save(*out, "emit", *seed, rows, bench.EmitMetrics(rows))
 		})
 	}
 	if want("wire") {
 		run("wire", func() error {
-			rep := bench.RunWire(*wireIters, os.Stdout)
-			if *wireOut != "" {
-				f, err := os.Create(*wireOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteWireJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *wireOut)
-			}
-			return nil
+			rows := bench.RunWire(os.Stdout)
+			return save(*out, "wire", *seed, rows, bench.WireMetrics(rows))
 		})
 	}
 	if want("obs") {
 		run("obs", func() error {
-			rep := bench.RunObs(*obsIters, os.Stdout)
-			if *obsOut != "" {
-				f, err := os.Create(*obsOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteObsJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *obsOut)
-			}
-			return nil
+			rows := bench.RunObs(os.Stdout)
+			return save(*out, "obs", *seed, rows, bench.ObsMetrics(rows))
 		})
 	}
 	if want("elastic") {
@@ -313,46 +276,22 @@ func main() {
 			// The elastic scenario carries its own speedup default tuned to
 			// the service-time model (see ElasticScenario.Speedup); only the
 			// seed is taken from the shared flags.
-			elasticBase := bench.ElasticScenario{Seed: *seed}
-			rows, err := bench.ElasticComparison(elasticBase)
+			rows, err := bench.ElasticComparison(bench.ElasticScenario{Seed: *seed})
 			if err != nil {
 				return err
 			}
 			bench.WriteElasticTable(os.Stdout, rows)
-			if *elasticOut != "" {
-				f, err := os.Create(*elasticOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteElasticJSON(f, elasticBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *elasticOut)
-			}
-			return nil
+			return save(*out, "elastic", *seed, rows, bench.ElasticMetrics(rows))
 		})
 	}
 	if want("federation") {
 		run("federation", func() error {
-			fedBase := bench.FederationScenario{Seed: *seed}
-			rows, err := bench.FederationComparison(fedBase)
+			rows, err := bench.FederationComparison(bench.FederationScenario{Seed: *seed})
 			if err != nil {
 				return err
 			}
 			bench.WriteFederationTable(os.Stdout, rows)
-			if *fedOut != "" {
-				f, err := os.Create(*fedOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteFederationJSON(f, fedBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *fedOut)
-			}
-			return nil
+			return save(*out, "federation", *seed, rows, bench.FederationMetrics(rows))
 		})
 	}
 	if want("placement") {
@@ -361,46 +300,22 @@ func main() {
 			// so a plan step's code-ship window spans enough wall time to
 			// survive CI scheduling stalls (see PlacementScenario.Speedup);
 			// only the seed is taken from the shared flags.
-			placeBase := bench.PlacementScenario{Seed: *seed}
-			rows, err := bench.PlacementComparison(placeBase)
+			rows, err := bench.PlacementComparison(bench.PlacementScenario{Seed: *seed})
 			if err != nil {
 				return err
 			}
 			bench.WritePlacementTable(os.Stdout, rows)
-			if *placeOut != "" {
-				f, err := os.Create(*placeOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WritePlacementJSON(f, placeBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *placeOut)
-			}
-			return nil
+			return save(*out, "placement", *seed, rows, bench.PlacementMetrics(rows))
 		})
 	}
 	if want("churn") {
 		run("churn", func() error {
-			churnBase := bench.ChurnScenario{Seed: *seed, Speedup: *speedup}
-			rows, err := bench.ChurnComparison(churnBase, bench.ChurnSchemes)
+			rows, err := bench.ChurnComparison(bench.ChurnScenario{Seed: *seed, Speedup: *speedup}, bench.ChurnSchemes)
 			if err != nil {
 				return err
 			}
 			bench.WriteChurnTable(os.Stdout, rows)
-			if *churnOut != "" {
-				f, err := os.Create(*churnOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := bench.WriteChurnJSON(f, churnBase, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *churnOut)
-			}
-			return nil
+			return save(*out, "churn", *seed, rows, bench.ChurnMetrics(rows))
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -61,7 +60,7 @@ func (s *CkptScenario) applyDefaults() {
 	}
 }
 
-// CkptOutcome is one run's result, JSON-tagged for BENCH_checkpoint.json.
+// CkptOutcome is one run's result, JSON-tagged for the CI artifact.
 type CkptOutcome struct {
 	Mode          string  `json:"mode"` // "full" or "incremental"
 	StateBytes    int     `json:"state_bytes"`
@@ -215,19 +214,10 @@ func CkptComparison(base CkptScenario, sizes []int) ([]CkptOutcome, error) {
 	return rows, nil
 }
 
-// CkptReport is the machine-readable artifact (BENCH_checkpoint.json).
-type CkptReport struct {
-	Experiment string        `json:"experiment"`
-	Seed       int64         `json:"seed"`
-	Rows       []CkptOutcome `json:"rows"`
-	// PauseCutAtLargest is full-blob mean pause over incremental mean
-	// pause at the largest state size — the headline speedup.
-	PauseCutAtLargest float64 `json:"pause_cut_at_largest"`
-}
-
-// CkptPauseCut computes the full/incremental mean-pause ratio at the
-// largest state size present in rows (0 when either side is missing).
-func CkptPauseCut(rows []CkptOutcome) float64 {
+// CkptMetrics reduces the checkpoint rows to the gate's metric, the
+// incremental pipeline's mean pause at the largest state size, plus the
+// headline pause cut there: full-blob mean pause over incremental.
+func CkptMetrics(rows []CkptOutcome) Metrics {
 	largest := 0
 	for _, o := range rows {
 		if o.StateBytes > largest {
@@ -245,23 +235,14 @@ func CkptPauseCut(rows []CkptOutcome) float64 {
 			incr = o.PauseMeanMs
 		}
 	}
-	if incr <= 0 {
-		return 0
+	m := Metrics{}
+	if incr > 0 {
+		m["incr_pause_mean_ms_largest"] = Metric{Value: incr, Unit: "ms"}
+		if full > 0 {
+			m["pause_cut_at_largest"] = Metric{Value: full / incr, Unit: "ratio"}
+		}
 	}
-	return full / incr
-}
-
-// WriteCkptJSON emits the comparison as indented JSON.
-func WriteCkptJSON(w io.Writer, base CkptScenario, rows []CkptOutcome) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(CkptReport{
-		Experiment:        "checkpoint: synchronous full-blob vs incremental-async delta chains",
-		Seed:              base.Seed,
-		Rows:              rows,
-		PauseCutAtLargest: CkptPauseCut(rows),
-	})
+	return m
 }
 
 // WriteCkptTable renders the comparison for humans.
@@ -274,7 +255,7 @@ func WriteCkptTable(w io.Writer, rows []CkptOutcome) {
 			o.Mode, float64(o.StateBytes)/1024, o.Checkpoints, o.PauseMeanMs, o.PauseMaxMs,
 			o.BlobBytes, o.DeltaRatio, o.ThroughputTPS)
 	}
-	if cut := CkptPauseCut(rows); cut > 0 {
-		fmt.Fprintf(w, "pause cut at largest state: %.1fx\n", cut)
+	if cut, ok := CkptMetrics(rows)["pause_cut_at_largest"]; ok {
+		fmt.Fprintf(w, "pause cut at largest state: %.1fx\n", cut.Value)
 	}
 }

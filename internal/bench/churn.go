@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -365,25 +364,16 @@ func ChurnComparison(base ChurnScenario, schemes []ft.Scheme) ([]ChurnOutcome, e
 	return rows, nil
 }
 
-// ChurnReport is the machine-readable experiment artifact
-// (BENCH_scheduler.json in CI).
-type ChurnReport struct {
-	Experiment string         `json:"experiment"`
-	Seed       int64          `json:"seed"`
-	MeasureSec float64        `json:"measure_sec"`
-	Rows       []ChurnOutcome `json:"rows"`
-}
-
-// WriteChurnJSON emits the churn comparison as indented JSON.
-func WriteChurnJSON(w io.Writer, base ChurnScenario, rows []ChurnOutcome) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ChurnReport{
-		Experiment: "churn: reactive recovery vs adaptive placement scheduler",
-		Seed:       base.Seed,
-		MeasureSec: churnMeasure.Seconds(),
-		Rows:       rows,
-	})
+// ChurnMetrics reduces the churn rows to the gate's metric: the worst
+// tuple loss across the scheduler-on rows.
+func ChurnMetrics(rows []ChurnOutcome) Metrics {
+	m := Metrics{}
+	for _, o := range rows {
+		if o.Mode == "scheduler" {
+			m.keepMax("max_scheduler_tuple_loss", float64(o.Lost), "count")
+		}
+	}
+	return m
 }
 
 // WriteChurnTable renders the comparison for humans.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
+	"reflect"
 	"testing"
 
 	"mobistreams/internal/ft"
@@ -101,23 +99,18 @@ func TestChurnRouteCacheEquivalence(t *testing.T) {
 }
 
 func TestChurnJSONRoundTrips(t *testing.T) {
-	base := ChurnScenario{Seed: 5}
 	rows := []ChurnOutcome{
 		{Scheme: "ms", Mode: "reactive", Ingested: 100, Delivered: 80, Lost: 20, DowntimeSec: 12.5, Recoveries: 2},
 		{Scheme: "ms", Mode: "scheduler", Ingested: 100, Delivered: 100, Migrations: 3},
 	}
-	var buf bytes.Buffer
-	if err := WriteChurnJSON(&buf, base, rows); err != nil {
-		t.Fatal(err)
+	m := ChurnMetrics(rows)
+	want := Metrics{"max_scheduler_tuple_loss": {Value: 0, Unit: "count"}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("metrics %v, want %v (the reactive row's loss must not count)", m, want)
 	}
-	var rep ChurnReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
+	rows = append(rows, ChurnOutcome{Scheme: "rep-2", Mode: "scheduler", Lost: 4})
+	if got := ChurnMetrics(rows)["max_scheduler_tuple_loss"].Value; got != 4 {
+		t.Fatalf("worst scheduler loss %v, want 4", got)
 	}
-	if len(rep.Rows) != 2 || rep.Rows[0].Lost != 20 || rep.Rows[1].Migrations != 3 {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"tuples_lost"`) {
-		t.Fatal("artifact missing tuples_lost field")
-	}
+	roundTrip(t, "churn", rows, ChurnMetrics(rows))
 }

@@ -3,8 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
-	"time"
 )
 
 // TestCkptIncrementalCutsPause is the acceptance-criteria bench: at the
@@ -51,7 +51,7 @@ func TestCkptIncrementalCutsPause(t *testing.T) {
 		if lastErr != "" {
 			continue
 		}
-		if cut := CkptPauseCut(rows); cut < want {
+		if cut := CkptMetrics(rows)["pause_cut_at_largest"].Value; cut < want {
 			lastErr = fmt.Sprintf("pause cut at largest state = %.1fx, want >= %.1fx", cut, want)
 			continue
 		}
@@ -64,14 +64,17 @@ func TestCkptJSONRoundTrips(t *testing.T) {
 	rows := []CkptOutcome{
 		{Mode: "full", StateBytes: 4 << 20, PauseMeanMs: 160, Checkpoints: 9},
 		{Mode: "incremental", StateBytes: 4 << 20, PauseMeanMs: 10, Checkpoints: 9, DeltaBlobs: 6},
+		{Mode: "incremental", StateBytes: 1 << 20, PauseMeanMs: 3, Checkpoints: 9, DeltaBlobs: 6},
 	}
-	var buf bytes.Buffer
-	if err := WriteCkptJSON(&buf, CkptScenario{Seed: 3, Measure: time.Minute}, rows); err != nil {
-		t.Fatal(err)
+	m := CkptMetrics(rows)
+	want := Metrics{
+		"incr_pause_mean_ms_largest": {Value: 10, Unit: "ms"},
+		"pause_cut_at_largest":       {Value: 16, Unit: "ratio"},
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"pause_cut_at_largest": 16`)) {
-		t.Fatalf("ratio missing from JSON:\n%s", buf.String())
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("metrics %v, want %v", m, want)
 	}
+	roundTrip(t, "checkpoint", rows, m)
 	var tbl bytes.Buffer
 	WriteCkptTable(&tbl, rows)
 	if !bytes.Contains(tbl.Bytes(), []byte("16.0x")) {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -401,24 +400,23 @@ func ElasticComparison(base ElasticScenario) ([]ElasticOutcome, error) {
 	return rows, nil
 }
 
-// ElasticReport is the machine-readable experiment artifact
-// (BENCH_elastic.json in CI).
-type ElasticReport struct {
-	Experiment string           `json:"experiment"`
-	Seed       int64            `json:"seed"`
-	Rows       []ElasticOutcome `json:"rows"`
-}
-
-// WriteElasticJSON emits the comparison as indented JSON.
-func WriteElasticJSON(w io.Writer, base ElasticScenario, rows []ElasticOutcome) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ElasticReport{
-		Experiment: "elastic: keyed parallelism under a skewed moving hotspot",
-		Seed:       base.Seed,
-		Rows:       rows,
-	})
+// ElasticMetrics reduces the comparison to the elastic-on run's gate
+// metrics: its worst hotspot-phase p99, the number the split/merge policy
+// exists to hold down, and its duplicate outputs across live handoffs.
+// The static run's degradation measures the problem, not the solution, so
+// it is not a metric.
+func ElasticMetrics(rows []ElasticOutcome) Metrics {
+	m := Metrics{}
+	for _, o := range rows {
+		if o.Mode != "elastic" {
+			continue
+		}
+		if o.P99HotMs > 0 {
+			m["elastic_p99_hotspot_ms"] = Metric{Value: o.P99HotMs, Unit: "ms"}
+		}
+		m["elastic_duplicates"] = Metric{Value: float64(o.Duplicates), Unit: "count"}
+	}
+	return m
 }
 
 // WriteElasticTable renders the comparison for humans.

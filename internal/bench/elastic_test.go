@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -59,21 +57,16 @@ func TestElasticHoldsP99UnderMovingHotspot(t *testing.T) {
 
 func TestElasticJSONRoundTrips(t *testing.T) {
 	rows := []ElasticOutcome{
-		{Mode: "static", Ingested: 1000, Delivered: 1000, P99PreMs: 300, P99HotMs: 4500, DegradeFactor: 15},
+		{Mode: "static", Ingested: 1000, Delivered: 1000, Duplicates: 3, P99PreMs: 300, P99HotMs: 4500, DegradeFactor: 15},
 		{Mode: "elastic", Ingested: 1000, Delivered: 1000, P99PreMs: 320, P99HotMs: 500, DegradeFactor: 1.6, Splits: 2, ActiveInstances: 4},
 	}
-	var buf bytes.Buffer
-	if err := WriteElasticJSON(&buf, ElasticScenario{Seed: 5}, rows); err != nil {
-		t.Fatal(err)
+	m := ElasticMetrics(rows)
+	want := Metrics{
+		"elastic_p99_hotspot_ms": {Value: 500, Unit: "ms"},
+		"elastic_duplicates":     {Value: 0, Unit: "count"},
 	}
-	var rep ElasticReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("metrics %v, want %v (only the elastic row counts)", m, want)
 	}
-	if len(rep.Rows) != 2 || rep.Rows[1].Splits != 2 || rep.Rows[0].Mode != "static" {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"p99_hotspot_ms"`) {
-		t.Fatal("artifact missing p99_hotspot_ms field")
-	}
+	roundTrip(t, "elastic", rows, m)
 }

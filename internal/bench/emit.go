@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -17,37 +16,36 @@ type EmitRow struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 }
 
-// EmitReport is the machine-readable emit-path comparison the regression
-// gate consumes (BENCH_emit.json in CI).
-type EmitReport struct {
-	Iters int       `json:"iters"`
-	Rows  []EmitRow `json:"rows"`
-}
+// benchIters is how many tuples or frames each emit, wire and obs
+// measurement times.
+const benchIters = 200000
 
 // RunEmit benchmarks the operator emission path under both contracts: the
 // emit-context contract must hold 0 allocs/op in steady state (the gate
 // fails otherwise), with the legacy []Out adapter as the contrast row.
-func RunEmit(iters int, w io.Writer) EmitReport {
-	if iters <= 0 {
-		iters = 200000
-	}
-	rep := EmitReport{Iters: iters}
-	fmt.Fprintf(w, "\n=== Emit path: context contract vs legacy adapter (%d tuples) ===\n", iters)
+func RunEmit(w io.Writer) []EmitRow {
+	var rows []EmitRow
+	fmt.Fprintf(w, "\n=== Emit path: context contract vs legacy adapter (%d tuples) ===\n", benchIters)
 	fmt.Fprintf(w, "%-10s %14s %12s\n", "mode", "allocs/op", "ns/op")
 	for _, mode := range []struct {
 		name   string
 		legacy bool
 	}{{"context", false}, {"legacy", true}} {
-		res := node.RunEmitBench(mode.legacy, iters)
-		rep.Rows = append(rep.Rows, EmitRow{Mode: mode.name, AllocsPerOp: res.AllocsPerOp, NsPerOp: res.NsPerOp})
+		res := node.RunEmitBench(mode.legacy, benchIters)
+		rows = append(rows, EmitRow{Mode: mode.name, AllocsPerOp: res.AllocsPerOp, NsPerOp: res.NsPerOp})
 		fmt.Fprintf(w, "%-10s %14.3f %12.1f\n", mode.name, res.AllocsPerOp, res.NsPerOp)
 	}
-	return rep
+	return rows
 }
 
-// WriteEmitJSON renders the report machine-readably for the gate.
-func WriteEmitJSON(w io.Writer, rep EmitReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// EmitMetrics reduces the rows to the gate's metric: the emit-context
+// contract's steady-state allocations per tuple, 0 by design.
+func EmitMetrics(rows []EmitRow) Metrics {
+	m := Metrics{}
+	for _, r := range rows {
+		if r.Mode == "context" {
+			m["emit_allocs_per_op"] = Metric{Value: r.AllocsPerOp, Unit: "count"}
+		}
+	}
+	return m
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -429,28 +428,31 @@ func FederationComparison(base FederationScenario) ([]FederationPoint, error) {
 	return rows, nil
 }
 
-// FederationReport is the machine-readable experiment artifact
-// (BENCH_federation.json in CI).
-type FederationReport struct {
-	Experiment      string            `json:"experiment"`
-	Seed            int64             `json:"seed"`
-	PhonesPerRegion int               `json:"phones_per_region"`
-	CapsEpochs      int               `json:"caps_epochs"`
-	Rows            []FederationPoint `json:"rows"`
-}
-
-// WriteFederationJSON emits the sweep as indented JSON.
-func WriteFederationJSON(w io.Writer, base FederationScenario, rows []FederationPoint) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(FederationReport{
-		Experiment:      "federation: control fan-out vs region count, gossip overlay vs unicast hub",
-		Seed:            base.Seed,
-		PhonesPerRegion: base.PhonesPerRegion,
-		CapsEpochs:      base.CapsEpochs,
-		Rows:            rows,
-	})
+// FederationMetrics reduces the sweep to the gossip overlay's gate
+// metrics: the busiest node's control bytes per phone at the largest
+// swept region count, and the duplicate cross-region outputs summed over
+// every gossip sweep point.
+func FederationMetrics(rows []FederationPoint) Metrics {
+	m := Metrics{}
+	var largest *FederationPoint
+	var dups uint64
+	for i, p := range rows {
+		if p.Mode != "gossip" {
+			continue
+		}
+		if largest == nil || p.Regions > largest.Regions {
+			largest = &rows[i]
+		}
+		dups += p.XRegionDupOutputs
+	}
+	if largest == nil {
+		return m
+	}
+	m["federation_xregion_dup_outputs"] = Metric{Value: float64(dups), Unit: "count"}
+	if largest.CtrlBytesPerPhone > 0 {
+		m["federation_ctrl_bytes_per_phone_largest"] = Metric{Value: largest.CtrlBytesPerPhone, Unit: "B"}
+	}
+	return m
 }
 
 // WriteFederationTable renders the sweep for humans.

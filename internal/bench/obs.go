@@ -1,17 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"mobistreams/internal/node"
 )
 
-// ObsReport is the machine-readable instrumentation-overhead measurement
-// the regression gate consumes (BENCH_obs.json in CI).
-type ObsReport struct {
-	Iters int `json:"iters"`
+// ObsRow is one instrumentation-overhead measurement of the emit hot path.
+type ObsRow struct {
 	// Per-tuple hot-path latency with observability absent, with
 	// histograms on and sampling off, and with every tuple traced.
 	OffNsPerOp   float64 `json:"off_ns_per_op"`
@@ -29,11 +26,16 @@ type ObsReport struct {
 }
 
 // RunObs benchmarks the observability layer's hot-path overhead across the
-// off / histogram / full-trace modes.
-func RunObs(iters int, w io.Writer) ObsReport {
-	res := node.RunObsBench(iters)
-	rep := ObsReport{
-		Iters:             res.Iters,
+// off / histogram / full-trace modes. It returns one row.
+func RunObs(w io.Writer) []ObsRow {
+	res := node.RunObsBench(benchIters)
+	fmt.Fprintf(w, "\n=== Observability overhead on the emit path (%d tuples) ===\n", res.Iters)
+	fmt.Fprintf(w, "%-22s %12s %14s\n", "mode", "ns/op", "allocs/op")
+	fmt.Fprintf(w, "%-22s %12.1f %14s\n", "obs off", res.OffNsPerOp, "-")
+	fmt.Fprintf(w, "%-22s %12.1f %14.3f\n", "histograms (no trace)", res.HistNsPerOp, res.HistAllocsPerOp)
+	fmt.Fprintf(w, "%-22s %12.1f %14.3f\n", "every tuple traced", res.TraceNsPerOp, res.TraceAllocsPerOp)
+	fmt.Fprintf(w, "histogram overhead: %.1f%%; spans recorded: %d\n", res.OverheadPct, res.Spans)
+	return []ObsRow{{
 		OffNsPerOp:        res.OffNsPerOp,
 		HistNsPerOp:       res.HistNsPerOp,
 		TraceNsPerOp:      res.TraceNsPerOp,
@@ -41,19 +43,16 @@ func RunObs(iters int, w io.Writer) ObsReport {
 		TraceAllocsPerOp:  res.HistAllocsPerOp,
 		TracedAllocsPerOp: res.TraceAllocsPerOp,
 		Spans:             res.Spans,
-	}
-	fmt.Fprintf(w, "\n=== Observability overhead on the emit path (%d tuples) ===\n", res.Iters)
-	fmt.Fprintf(w, "%-22s %12s %14s\n", "mode", "ns/op", "allocs/op")
-	fmt.Fprintf(w, "%-22s %12.1f %14s\n", "obs off", res.OffNsPerOp, "-")
-	fmt.Fprintf(w, "%-22s %12.1f %14.3f\n", "histograms (no trace)", res.HistNsPerOp, res.HistAllocsPerOp)
-	fmt.Fprintf(w, "%-22s %12.1f %14.3f\n", "every tuple traced", res.TraceNsPerOp, res.TraceAllocsPerOp)
-	fmt.Fprintf(w, "histogram overhead: %.1f%%; spans recorded: %d\n", res.OverheadPct, res.Spans)
-	return rep
+	}}
 }
 
-// WriteObsJSON renders the report machine-readably for the gate.
-func WriteObsJSON(w io.Writer, rep ObsReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// ObsMetrics reduces the measurement to the gate's metrics: the histogram
+// overhead, and the sampling-off path's allocations per tuple.
+func ObsMetrics(rows []ObsRow) Metrics {
+	m := Metrics{}
+	for _, r := range rows {
+		m["obs_overhead_pct"] = Metric{Value: r.ObsOverheadPct, Unit: "%"}
+		m["trace_allocs_per_op"] = Metric{Value: r.TraceAllocsPerOp, Unit: "count"}
+	}
+	return m
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -346,30 +345,34 @@ func PlacementComparison(base PlacementScenario) ([]PlacementOutcome, error) {
 	return rows, nil
 }
 
-// PlacementReport is the machine-readable experiment artifact
-// (BENCH_placement.json in CI).
-type PlacementReport struct {
-	Experiment string             `json:"experiment"`
-	Seed       int64              `json:"seed"`
-	Phones     int                `json:"phones"`
-	Channels   int                `json:"channels"`
-	MeasureSec float64            `json:"measure_sec"`
-	Rows       []PlacementOutcome `json:"rows"`
-}
-
-// WritePlacementJSON emits the placement comparison as indented JSON.
-func WritePlacementJSON(w io.Writer, base PlacementScenario, rows []PlacementOutcome) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(PlacementReport{
-		Experiment: "placement: greedy scorer vs topology-aware planner",
-		Seed:       base.Seed,
-		Phones:     base.Phones,
-		Channels:   placementChannels,
-		MeasureSec: base.Measure.Seconds(),
-		Rows:       rows,
-	})
+// PlacementMetrics reduces the greedy/planner pair to the gate's
+// metrics. placement_loss_vs_greedy is the planner arm's tuple loss over
+// the greedy arm's (floored at one tuple), so the gate tracks the relative
+// claim rather than an absolute count that moves with the churn schedule.
+// placement_cross_channel_cut_vs_greedy is greedy's cross-channel airtime
+// share minus the planner's: repacking removes cross-cell hops, so it must
+// stay positive. placement_planner_duplicates is the planner arm's
+// duplicate outputs.
+func PlacementMetrics(rows []PlacementOutcome) Metrics {
+	var greedy, planner *PlacementOutcome
+	for i := range rows {
+		switch rows[i].Mode {
+		case "greedy":
+			greedy = &rows[i]
+		case "planner":
+			planner = &rows[i]
+		}
+	}
+	m := Metrics{}
+	if planner != nil {
+		m["placement_planner_duplicates"] = Metric{Value: float64(planner.Duplicates), Unit: "count"}
+	}
+	if greedy != nil && planner != nil {
+		greedyLost := max(greedy.Lost, 1)
+		m["placement_loss_vs_greedy"] = Metric{Value: float64(planner.Lost) / float64(greedyLost), Unit: "ratio"}
+		m["placement_cross_channel_cut_vs_greedy"] = Metric{Value: greedy.CrossChannelShare - planner.CrossChannelShare, Unit: "ratio"}
+	}
+	return m
 }
 
 // WritePlacementTable renders the comparison for humans.

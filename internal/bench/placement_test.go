@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -82,21 +80,22 @@ func TestPlacementPlannerBeatsGreedyCrossChannel(t *testing.T) {
 func TestPlacementJSONRoundTrips(t *testing.T) {
 	rows := []PlacementOutcome{
 		{Mode: "greedy", Ingested: 150, Delivered: 148, Lost: 2, CrossChannelShare: 0.81},
-		{Mode: "planner", Ingested: 150, Delivered: 150, PlanCommits: 4, CrossChannelShare: 0.45,
+		{Mode: "planner", Ingested: 150, Delivered: 150, Lost: 1, PlanCommits: 4, CrossChannelShare: 0.45,
 			ChannelAirtimeSec: []float64{1.8, 1.7, 1.7, 1.6}},
 	}
-	var buf bytes.Buffer
-	if err := WritePlacementJSON(&buf, PlacementScenario{Seed: 5}, rows); err != nil {
-		t.Fatal(err)
+	m := PlacementMetrics(rows)
+	want := Metrics{
+		"placement_loss_vs_greedy":              {Value: 0.5, Unit: "ratio"},
+		"placement_cross_channel_cut_vs_greedy": {Value: rows[0].CrossChannelShare - rows[1].CrossChannelShare, Unit: "ratio"},
+		"placement_planner_duplicates":          {Value: 0, Unit: "count"},
 	}
-	var rep PlacementReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("metrics %v, want %v", m, want)
 	}
-	if len(rep.Rows) != 2 || rep.Rows[1].PlanCommits != 4 || rep.Rows[0].Mode != "greedy" {
-		t.Fatalf("round-trip mismatch: %+v", rep)
+	// A lossless greedy arm floors the divisor at one tuple.
+	rows[0].Lost = 0
+	if got := PlacementMetrics(rows)["placement_loss_vs_greedy"].Value; got != 1 {
+		t.Fatalf("loss ratio against a lossless greedy arm %v, want 1", got)
 	}
-	if !strings.Contains(buf.String(), `"cross_channel_share"`) {
-		t.Fatal("artifact missing cross_channel_share field")
-	}
+	roundTrip(t, "placement", rows, PlacementMetrics(rows))
 }

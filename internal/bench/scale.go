@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -176,7 +175,7 @@ type ScaleRow struct {
 	Phones   int    `json:"phones"`
 	Leaves   int    `json:"leaves"`
 	Channels int    `json:"channels"`
-	Mode     string `json:"mode"` // always "tuned", the rows the compare gate reads
+	Mode     string `json:"mode"` // always "tuned"
 	Ingested int64  `json:"ingested"`
 	// Delivered counts sink outputs landing inside the measurement
 	// window; TPS divides it by the window. Warmup-admitted tuples still
@@ -323,26 +322,23 @@ func ScaleComparison(base ScaleScenario, sizes []int, channels []int) ([]ScaleRo
 	return rows, nil
 }
 
-// ScaleReport is the machine-readable experiment artifact
-// (BENCH_scale.json in CI).
-type ScaleReport struct {
-	Experiment string     `json:"experiment"`
-	Seed       int64      `json:"seed"`
-	MeasureSec float64    `json:"measure_sec"`
-	Rows       []ScaleRow `json:"rows"`
-}
-
-// WriteScaleJSON emits the scale sweep as indented JSON.
-func WriteScaleJSON(w io.Writer, base ScaleScenario, rows []ScaleRow) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ScaleReport{
-		Experiment: "scale: region size × WiFi channels",
-		Seed:       base.Seed,
-		MeasureSec: base.Measure.Seconds(),
-		Rows:       rows,
-	})
+// ScaleMetrics reduces the sweep to the gate's metric: the best
+// throughput at the largest region size, across channel counts. Saturated
+// rows are airtime-bound, so the number is stable across machines.
+func ScaleMetrics(rows []ScaleRow) Metrics {
+	m := Metrics{}
+	largest := 0
+	for _, o := range rows {
+		if o.Phones > largest {
+			largest = o.Phones
+		}
+	}
+	for _, o := range rows {
+		if o.Phones == largest && o.TPS > 0 {
+			m.keepMax("scale_tps_largest", o.TPS, "1/s")
+		}
+	}
+	return m
 }
 
 // WriteScaleTable renders the sweep for humans.

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -104,21 +102,14 @@ func TestRunScaleSmoke(t *testing.T) {
 
 func TestScaleJSONRoundTrips(t *testing.T) {
 	rows := []ScaleRow{
+		{Phones: 32, Leaves: 28, Channels: 4, Mode: "tuned", Delivered: 8000, TPS: 400},
 		{Phones: 64, Leaves: 56, Channels: 1, Mode: "tuned", Delivered: 1000, TPS: 50},
 		{Phones: 64, Leaves: 56, Channels: 4, Mode: "tuned", Delivered: 7000, TPS: 350},
 	}
-	var buf bytes.Buffer
-	if err := WriteScaleJSON(&buf, ScaleScenario{Seed: 1}, rows); err != nil {
-		t.Fatal(err)
+	m := ScaleMetrics(rows)
+	want := Metrics{"scale_tps_largest": {Value: 350, Unit: "1/s"}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("metrics %v, want %v (best channel count at the largest size)", m, want)
 	}
-	var rep ScaleReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[1].TPS != 350 || rep.Rows[0].Channels != 1 {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"tuples_per_sec"`) {
-		t.Fatal("artifact missing tuples_per_sec field")
-	}
+	roundTrip(t, "scale", rows, m)
 }

@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"mobistreams/internal/tuple"
@@ -18,15 +18,6 @@ type WireRow struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	FrameBytes  int     `json:"frame_bytes"`
-}
-
-// WireReport is the machine-readable wire-codec comparison the regression
-// gate consumes (BENCH_wire.json in CI). The gate pins every encode row
-// at 0 allocs/op: append-to-buffer encoding into a presized buffer must
-// not allocate in steady state.
-type WireReport struct {
-	Iters int       `json:"iters"`
-	Rows  []WireRow `json:"rows"`
 }
 
 // benchStream is the data-plane message the codec benchmark drives: a
@@ -52,10 +43,10 @@ func benchBatch(n int) *wire.Batch {
 	return b
 }
 
-// measure runs fn iters times under the Mallocs counter, after a short
+// measure runs fn benchIters times under the Mallocs counter, after a short
 // warmup, and returns allocs/op and ns/op — the same methodology as the
 // emit-path gate.
-func measure(iters int, fn func()) (allocsPerOp, nsPerOp float64) {
+func measure(fn func()) (allocsPerOp, nsPerOp float64) {
 	for i := 0; i < 128; i++ {
 		fn()
 	}
@@ -63,30 +54,27 @@ func measure(iters int, fn func()) (allocsPerOp, nsPerOp float64) {
 	runtime.ReadMemStats(&ms)
 	m0 := ms.Mallocs
 	start := time.Now()
-	for i := 0; i < iters; i++ {
+	for i := 0; i < benchIters; i++ {
 		fn()
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
-	return float64(ms.Mallocs-m0) / float64(iters),
-		float64(elapsed.Nanoseconds()) / float64(iters)
+	return float64(ms.Mallocs-m0) / benchIters,
+		float64(elapsed.Nanoseconds()) / benchIters
 }
 
 // RunWire benchmarks the wire codec: encode paths into a reused presized
 // buffer (must hold 0 allocs/op — that is the zero-alloc design claim the
 // gate enforces) and decode paths as the contrast rows (decoding
 // materialises tuples, so it allocates a small constant per frame).
-func RunWire(iters int, w io.Writer) WireReport {
-	if iters <= 0 {
-		iters = 200000
-	}
-	rep := WireReport{Iters: iters}
-	fmt.Fprintf(w, "\n=== Wire codec: encode (pinned 0 allocs) vs decode (%d frames) ===\n", iters)
+func RunWire(w io.Writer) []WireRow {
+	var rows []WireRow
+	fmt.Fprintf(w, "\n=== Wire codec: encode (pinned 0 allocs) vs decode (%d frames) ===\n", benchIters)
 	fmt.Fprintf(w, "%-16s %14s %12s %12s\n", "op", "allocs/op", "ns/op", "frame bytes")
 
 	add := func(op string, frameBytes int, fn func()) {
-		allocs, ns := measure(iters, fn)
-		rep.Rows = append(rep.Rows, WireRow{Op: op, AllocsPerOp: allocs, NsPerOp: ns, FrameBytes: frameBytes})
+		allocs, ns := measure(fn)
+		rows = append(rows, WireRow{Op: op, AllocsPerOp: allocs, NsPerOp: ns, FrameBytes: frameBytes})
 		fmt.Fprintf(w, "%-16s %14.3f %12.1f %12d\n", op, allocs, ns, frameBytes)
 	}
 
@@ -134,12 +122,18 @@ func RunWire(iters int, w io.Writer) WireReport {
 		}
 	})
 
-	return rep
+	return rows
 }
 
-// WriteWireJSON renders the report machine-readably for the gate.
-func WriteWireJSON(w io.Writer, rep WireReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// WireMetrics reduces the rows to the gate's metric: the worst encode row
+// across frame kinds. Any per-frame allocation on the encode path breaks
+// the zero-alloc wire-format claim; decode rows are contrast only.
+func WireMetrics(rows []WireRow) Metrics {
+	m := Metrics{}
+	for _, r := range rows {
+		if strings.HasPrefix(r.Op, "encode_") {
+			m.keepMax("wire_encode_allocs_per_op", r.AllocsPerOp, "count")
+		}
+	}
+	return m
 }

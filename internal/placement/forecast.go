@@ -24,13 +24,23 @@ func forecastPhone(s *Snapshot, p *Phone) (hazard, bool) {
 			best, ok = hazard{In: in, Reason: reason}, true
 		}
 	}
-	if p.DrainWatts > 0 && p.BatteryJoules > 0 {
-		note(time.Duration(p.BatteryJoules/p.DrainWatts*float64(time.Second)), "battery")
+	if in, dying := TimeToDeath(p.BatteryJoules, p.DrainWatts); dying {
+		note(in, "battery")
 	}
 	if in, crossing := TimeToBoundary(s.RadiusM, p.X, p.Y, p.VelX, p.VelY); crossing {
 		note(in, "trajectory")
 	}
 	return best, ok
+}
+
+// TimeToDeath extrapolates the observed battery drain to empty: joules
+// left over the discharge rate in watts. It returns (0, false) when the
+// phone is not draining or reports no charge.
+func TimeToDeath(joules, watts float64) (time.Duration, bool) {
+	if watts <= 0 || joules <= 0 {
+		return 0, false
+	}
+	return time.Duration(joules / watts * float64(time.Second)), true
 }
 
 // TimeToBoundary extrapolates a straight-line trajectory to a WiFi range

@@ -127,11 +127,8 @@ func (h *HeuristicScorer) Risk(rs RegionStats, p PhoneStat) Risk {
 	if p.BatteryFraction > 0 && p.BatteryFraction < lowFraction {
 		note(1+(lowFraction-p.BatteryFraction)/lowFraction, "battery-low")
 	}
-	if p.DrainWatts > 0 && p.BatteryJoules > 0 {
-		ttd := time.Duration(p.BatteryJoules / p.DrainWatts * float64(time.Second))
-		if ttd > 0 {
-			note(float64(batteryHorizon)/float64(ttd), "battery-drain")
-		}
+	if ttd, ok := placement.TimeToDeath(p.BatteryJoules, p.DrainWatts); ok && ttd > 0 {
+		note(float64(batteryHorizon)/float64(ttd), "battery-drain")
 	}
 	if ttb, ok := TimeToBoundary(rs, p); ok {
 		if ttb <= 0 {
