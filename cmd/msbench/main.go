@@ -19,7 +19,7 @@
 //	msbench -exp obs            # observability overhead on the emit path
 //	msbench -exp elastic        # static vs elastic keyed parallelism, moving hotspot
 //	msbench -exp federation     # control fan-out vs region count, gossip vs unicast
-//	msbench -exp placement      # greedy scorer vs topology-aware placement planner
+//	msbench -exp placement      # greedy scheduler vs topology-aware placement planner
 //
 // An unknown experiment or app name exits 2 with the list of valid names.
 //
@@ -35,7 +35,7 @@
 // pause, throughput, hotspot p99, control bytes and the placement loss
 // ratio may regress at most 20% plus a grace term; the emit, wire-encode
 // and traced-path allocations and every duplicate count are pinned at 0;
-// and the placement planner must beat the greedy scorer on cross-channel
+// and the placement planner must beat the greedy scheduler on cross-channel
 // airtime share.
 //
 // -cpuprofile / -memprofile write pprof profiles so hot-path regressions

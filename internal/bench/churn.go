@@ -158,91 +158,140 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 	if err != nil {
 		return ChurnOutcome{}, err
 	}
-	clk := clock.NewScaled(s.Speedup)
+	run := churnRun{
+		graph: g, registry: churnRegistry(), scheme: s.Scheme,
+		phones: churnPhones, sources: []string{"S"}, speedup: s.Speedup,
+		ckptPeriod: churnCkptPeriod, measure: churnMeasure, drain: churnDrain,
+		meanLeave: churnMeanLeave, seed: s.Seed,
+	}
+	mode := "reactive"
+	if s.SchedulerOn {
+		run.sched = churnScheduler(nil)
+		mode = "scheduler"
+	}
+	o, err := runChurnRegion(run)
+	return ChurnOutcome{
+		Scheme: s.Scheme.String(), Mode: mode,
+		Ingested: o.Ingested, Delivered: o.Delivered, Lost: o.Lost, Duplicates: o.Duplicates,
+		ThroughputTPS: o.ThroughputTPS, DowntimeSec: o.DowntimeSec,
+		Migrations: o.Migrations, Recoveries: o.Recoveries,
+		Departures: o.Departures, Joins: o.Joins, Dead: o.Dead,
+	}, err
+}
+
+// churnScheduler is the greedy scheduler both churn-driven experiments run,
+// tuned to the churn workload's cliffs and walks.
+func churnScheduler(ledger *scheduler.Cooldowns) *scheduler.Scheduler {
+	return scheduler.New(scheduler.Config{
+		BatteryHorizon: 60 * time.Second,
+		LowFraction:    0.15,
+		Cooldown:       20 * time.Second,
+		Cooldowns:      ledger,
+	})
+}
+
+// churnRun is what the churn and placement experiments vary: the graph,
+// the population and channels, the ingest sources, the pacing and the
+// placement policies.
+type churnRun struct {
+	graph    *graph.Graph
+	registry operator.Registry
+	scheme   ft.Scheme
+	phones   int
+	channels int
+	// sources are the ingest operators, fed one tuple each in rotation.
+	sources []string
+	speedup float64
+	seed    int64
+	// ckptPeriod is also the warmup before the measurement window.
+	ckptPeriod, measure, drain, meanLeave time.Duration
+	// sched and planner are the placement policies; with neither, reactive
+	// recovery runs alone.
+	sched   *scheduler.Scheduler
+	planner *scheduler.Planner
+}
+
+// runChurnRegion runs one region for either churn-driven experiment: it
+// builds the controller and region, warms up for one checkpoint period,
+// ingests one tuple per churnSourcePeriod under Poisson leaves (battery
+// cliffs and commuter walks over the range boundary) and joins for the
+// measurement window, drains the tail, and counts the outcome. The row it
+// returns is the placement experiment's, a superset of the churn
+// experiment's; Mode is left to the caller.
+func runChurnRegion(c churnRun) (PlacementOutcome, error) {
+	clk := clock.NewScaled(c.speedup)
 	cell := simnet.NewCellular(clk, simnet.CellularConfig{
 		UpBitsPerSecond:   0.16e6,
 		DownBitsPerSecond: 0.7e6,
 		Latency:           80 * time.Millisecond,
 		SharedBps:         2e6,
 	})
-	ctrlCfg := controller.Config{
-		Clock: clk,
-		Cell:  cell,
-		Logf: func(format string, args ...interface{}) {
-			if churnDebug != nil {
-				churnDebug("%8.1fs ctrl: "+format, append([]interface{}{clk.Now().Seconds()}, args...)...)
-			}
-		},
-		CheckpointPeriod: churnCkptPeriod,
+	trace := func(format string, args ...interface{}) {
+		if churnDebug != nil {
+			churnDebug("%8.1fs "+format, append([]interface{}{clk.Now().Seconds()}, args...)...)
+		}
+	}
+	ctrl := controller.New(controller.Config{
+		Clock:            clk,
+		Cell:             cell,
+		Logf:             func(format string, args ...interface{}) { trace("ctrl: "+format, args...) },
+		CheckpointPeriod: c.ckptPeriod,
 		PingInterval:     30 * time.Second,
 		PingTimeout:      10 * time.Second,
 		DebounceWindow:   2 * time.Second,
-	}
-	if s.SchedulerOn {
-		ctrlCfg.Sched = scheduler.New(scheduler.Config{
-			Scorer: &scheduler.HeuristicScorer{
-				BatteryHorizon: 60 * time.Second,
-				LowFraction:    0.15,
-				DepartHorizon:  45 * time.Second,
-			},
-			Cooldown:   20 * time.Second,
-			MaxPerTick: 2,
-		})
-		ctrlCfg.ScheduleTick = 5 * time.Second
-	}
-	ctrl := controller.New(ctrlCfg)
+		ScheduleTick:     5 * time.Second,
+		Sched:            c.sched,
+		Planner:          c.planner,
+	})
 
 	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
 	var measureEnd atomic.Int64 // simulated ns; 0 until known
 	r, err := region.New(region.Config{
 		ID:                "r1",
-		Graph:             g,
-		Registry:          churnRegistry(),
-		Scheme:            s.Scheme,
-		Phones:            churnPhones,
+		Graph:             c.graph,
+		Registry:          c.registry,
+		Scheme:            c.scheme,
+		Phones:            c.phones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: churnWiFiBps, LossProb: churnWiFiLoss, Seed: s.Seed},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: churnWiFiBps, LossProb: churnWiFiLoss, Channels: c.channels, Seed: c.seed},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
 		PhoneCfg:          phone.Config{BatteryJoules: churnBatteryJoules},
 		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: s.Scheme.Kind == ft.MS,
+		PreserveBroadcast: c.scheme.Kind == ft.MS,
 		RadiusM:           churnRadiusM,
 		OnSinkOutput: func(_ simnet.NodeID, _ *tuple.Tuple) {
 			gaps.tick(clk.Now(), time.Duration(measureEnd.Load()))
 		},
 	})
 	if err != nil {
-		return ChurnOutcome{}, err
+		return PlacementOutcome{}, err
 	}
 	ctrl.AddRegion(r)
 	r.Start()
 	ctrl.Start()
 
 	// Warm up: let the first checkpoint commit before churn starts.
-	clk.Sleep(churnCkptPeriod)
+	clk.Sleep(c.ckptPeriod)
 
-	// Ingest: one tuple per churnSourcePeriod, counted from the window open.
 	var ingested int64
 	gen := workload.NewGenerator(clk)
 	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
-		atomic.AddInt64(&ingested, 1)
-		r.Ingest("S", v, 2048, "count")
-	}, workload.BCPBusConfig{Period: churnSourcePeriod, Seed: s.Seed})
+		n := atomic.AddInt64(&ingested, 1)
+		r.Ingest(c.sources[int((n-1)%int64(len(c.sources)))], v, 2048, "count")
+	}, workload.BCPBusConfig{Period: churnSourcePeriod, Seed: c.seed})
 
 	start := clk.Now()
-	end := start + churnMeasure
+	end := start + c.measure
 	measureEnd.Store(int64(end))
 	r.Throughput.Start(start)
 	r.Latency.Reset()
 	gaps.open(start)
 
-	// Churn: Poisson leaves (battery cliffs and commuter walks over the
-	// range boundary) plus Poisson joins of fresh phones.
 	var churnMu sync.Mutex
 	victimised := make(map[simnet.NodeID]bool)
 	var joins int64
-	slots := g.Slots()
+	slots := c.graph.Slots()
 	churn := workload.NewGenerator(clk)
 	churn.StartChurn(workload.ChurnHooks{
 		Victim: func(rng *rand.Rand) (simnet.NodeID, bool) {
@@ -260,9 +309,7 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 			return id, true
 		},
 		Cliff: func(id simnet.NodeID, fraction float64) {
-			if churnDebug != nil {
-				churnDebug("%8.1fs churn: cliff %s -> %.0f%%", clk.Now().Seconds(), id, fraction*100)
-			}
+			trace("churn: cliff %s -> %.0f%%", id, fraction*100)
 			if ph := r.Phone(id); ph != nil && !ph.Dead() {
 				ph.Revive(fraction)
 			}
@@ -279,17 +326,13 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 			}
 		},
 		SetVel: func(id simnet.NodeID, vx, vy float64) {
-			if churnDebug != nil {
-				churnDebug("%8.1fs churn: walk %s vel (%.1f, %.1f)", clk.Now().Seconds(), id, vx, vy)
-			}
+			trace("churn: walk %s vel (%.1f, %.1f)", id, vx, vy)
 			if ph := r.Phone(id); ph != nil {
 				ph.SetVelocity(vx, vy)
 			}
 		},
 		Departed: func(id simnet.NodeID) {
-			if churnDebug != nil {
-				churnDebug("%8.1fs churn: %s crossed the boundary", clk.Now().Seconds(), id)
-			}
+			trace("churn: %s crossed the boundary", id)
 			r.DepartPhone(id)
 			ctrl.NotifyDeparture(r.ID(), id)
 		},
@@ -298,41 +341,40 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 			atomic.AddInt64(&joins, 1)
 		},
 	}, workload.ChurnConfig{
-		MeanLeave:     churnMeanLeave,
+		MeanLeave:     c.meanLeave,
 		MeanJoin:      churnMeanJoin,
 		CliffShare:    churnCliffShare,
 		CliffFraction: churnCliffFraction,
 		WalkSpeed:     churnWalkSpeed,
 		RadiusM:       churnRadiusM,
-		Seed:          s.Seed,
+		Seed:          c.seed,
 	})
 
-	clk.Sleep(churnMeasure)
+	clk.Sleep(c.measure)
 	churn.Stop()
 	gen.Stop()
-	clk.Sleep(churnDrain)
+	clk.Sleep(c.drain)
 
-	mode := "reactive"
-	if s.SchedulerOn {
-		mode = "scheduler"
+	rep := r.Report(clk.Now())
+	commits, aborts := ctrl.PlanStats("r1")
+	out := PlacementOutcome{
+		Ingested:          atomic.LoadInt64(&ingested),
+		Delivered:         r.Throughput.Count(),
+		Duplicates:        r.DuplicateOutputs(),
+		Migrations:        ctrl.Migrations("r1"),
+		Recoveries:        ctrl.Recoveries("r1"),
+		PlanCommits:       commits,
+		PlanAborts:        aborts,
+		CrossChannelShare: rep.CrossChannelShare,
+		Departures:        ctrl.Departures("r1"),
+		Joins:             int(atomic.LoadInt64(&joins)),
+		Dead:              ctrl.RegionDead("r1"),
 	}
-	out := ChurnOutcome{
-		Scheme:     s.Scheme.String(),
-		Mode:       mode,
-		Ingested:   atomic.LoadInt64(&ingested),
-		Delivered:  r.Throughput.Count(),
-		Duplicates: r.DuplicateOutputs(),
-		Migrations: ctrl.Migrations("r1"),
-		Recoveries: ctrl.Recoveries("r1"),
-		Departures: ctrl.Departures("r1"),
-		Joins:      int(atomic.LoadInt64(&joins)),
-		Dead:       ctrl.RegionDead("r1"),
+	for _, a := range rep.ChannelAirtime {
+		out.ChannelAirtimeSec = append(out.ChannelAirtimeSec, a.Seconds())
 	}
-	out.Lost = out.Ingested - out.Delivered
-	if out.Lost < 0 {
-		out.Lost = 0
-	}
-	out.ThroughputTPS = float64(out.Delivered) / churnMeasure.Seconds()
+	out.Lost = max(out.Ingested-out.Delivered, 0)
+	out.ThroughputTPS = float64(out.Delivered) / c.measure.Seconds()
 	out.DowntimeSec = gaps.closeAt(end).Seconds()
 	r.Stop()
 	ctrl.Stop()

@@ -278,7 +278,7 @@ func Fig6(w io.Writer) broadcast.Stats {
 		"B": broadcast.NewReceiver(storage.New()),
 		"C": broadcast.NewReceiver(storage.New()),
 	})
-	st := broadcast.Disseminate(med, clock.NewManual(), "sender", []simnet.NodeID{"A", "B", "C"}, blob, broadcast.Config{BlockSize: 1024})
+	st := broadcast.Disseminate(med, clock.NewManual(), nil, "sender", []simnet.NodeID{"A", "B", "C"}, blob, broadcast.Config{BlockSize: 1024})
 	if w != nil {
 		fmt.Fprintln(w, "Fig. 6 — multi-phase UDP broadcast walk-through (8 MB, 8192 x 1 KB blocks)")
 		fmt.Fprintf(w, "UDP phases: %d (phase 1 all, phase 2 all, phase 3 evens; cost 4099 KB > gain 4095 KB stops UDP)\n", st.UDPPhases)

@@ -3,36 +3,26 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"mobistreams/internal/broadcast"
-	"mobistreams/internal/clock"
-	"mobistreams/internal/controller"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
-	"mobistreams/internal/phone"
 	"mobistreams/internal/placement"
-	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
-	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
-	"mobistreams/internal/workload"
 )
 
 // PlacementScenario configures one placement-planner experiment run: several
 // independent identity pipelines spread over a multi-channel WiFi region
-// under Poisson churn, scheduled either by the greedy per-phone scorer or by
+// under Poisson churn, scheduled either by the greedy per-phone scheduler or by
 // the topology-aware placement planner. Round-robin channel assignment
 // scatters every pipeline across channels at start, so every hop initially
 // burns two cells of airtime — the structural waste the planner's
 // pack-to-empty pass exists to remove, and the greedy baseline never sees.
 type PlacementScenario struct {
 	// Planner selects the topology-aware planner; false runs the greedy
-	// scorer alone (the baseline arm).
+	// scheduler alone (the baseline arm).
 	Planner bool
 	// Phones is the region population (default 128).
 	Phones int
@@ -148,185 +138,31 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	if err != nil {
 		return PlacementOutcome{}, err
 	}
-	clk := clock.NewScaled(placementSpeedup)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   0.16e6,
-		DownBitsPerSecond: 0.7e6,
-		Latency:           80 * time.Millisecond,
-		SharedBps:         2e6,
-	})
-	ledger := scheduler.NewCooldowns()
-	ctrlCfg := controller.Config{
-		Clock:            clk,
-		Cell:             cell,
-		CheckpointPeriod: s.CheckpointPeriod,
-		PingInterval:     30 * time.Second,
-		PingTimeout:      10 * time.Second,
-		DebounceWindow:   2 * time.Second,
-		ScheduleTick:     5 * time.Second,
-		Sched: scheduler.New(scheduler.Config{
-			Scorer: &scheduler.HeuristicScorer{
-				BatteryHorizon: 60 * time.Second,
-				LowFraction:    0.15,
-				DepartHorizon:  45 * time.Second,
-			},
-			Cooldown:   20 * time.Second,
-			MaxPerTick: 2,
-			Cooldowns:  ledger,
-		}),
+	sources := make([]string, s.Pipelines)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("S%d", i+1)
 	}
+	ledger := scheduler.NewCooldowns()
+	run := churnRun{
+		graph: g, registry: placementRegistry(s.Pipelines), scheme: ft.MSScheme,
+		phones: s.Phones, channels: placementChannels, sources: sources,
+		speedup: placementSpeedup, ckptPeriod: s.CheckpointPeriod, measure: s.Measure,
+		drain: s.Drain, meanLeave: s.MeanLeave, seed: s.Seed,
+		sched: churnScheduler(ledger),
+	}
+	mode := "greedy"
 	if s.Planner {
-		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{
+		run.planner = scheduler.NewPlanner(placement.New(placement.Config{
 			SparesPerDomain: 1,
 			HazardHorizon:   75 * time.Second,
 			MaxMigrations:   4,
 		}), ledger)
-		ctrlCfg.Planner.Cooldown = 20 * time.Second
-	}
-	ctrl := controller.New(ctrlCfg)
-
-	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
-	var measureEnd atomic.Int64
-	r, err := region.New(region.Config{
-		ID:                "r1",
-		Graph:             g,
-		Registry:          placementRegistry(s.Pipelines),
-		Scheme:            ft.MSScheme,
-		Phones:            s.Phones,
-		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: churnWiFiBps, LossProb: churnWiFiLoss, Channels: placementChannels, Seed: s.Seed},
-		Cell:              cell,
-		ControllerID:      ctrl.ID(),
-		PhoneCfg:          phone.Config{BatteryJoules: churnBatteryJoules},
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: true,
-		RadiusM:           churnRadiusM,
-		OnSinkOutput: func(_ simnet.NodeID, _ *tuple.Tuple) {
-			gaps.tick(clk.Now(), time.Duration(measureEnd.Load()))
-		},
-	})
-	if err != nil {
-		return PlacementOutcome{}, err
-	}
-	ctrl.AddRegion(r)
-	r.Start()
-	ctrl.Start()
-
-	clk.Sleep(s.CheckpointPeriod)
-
-	// Ingest: one tuple per churnSourcePeriod, rotated across the pipelines so
-	// every chain carries identical load.
-	var ingested int64
-	gen := workload.NewGenerator(clk)
-	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
-		n := atomic.AddInt64(&ingested, 1)
-		src := fmt.Sprintf("S%d", int((n-1)%int64(s.Pipelines))+1)
-		r.Ingest(src, v, 2048, "count")
-	}, workload.BCPBusConfig{Period: churnSourcePeriod, Seed: s.Seed})
-
-	start := clk.Now()
-	end := start + s.Measure
-	measureEnd.Store(int64(end))
-	r.Throughput.Start(start)
-	r.Latency.Reset()
-	gaps.open(start)
-
-	var churnMu sync.Mutex
-	victimised := make(map[simnet.NodeID]bool)
-	var joins int64
-	slots := g.Slots()
-	churn := workload.NewGenerator(clk)
-	churn.StartChurn(workload.ChurnHooks{
-		Victim: func(rng *rand.Rand) (simnet.NodeID, bool) {
-			slot := slots[rng.Intn(len(slots))]
-			id, ok := r.Placement(slot)
-			if !ok || r.Failed(id) || r.Departed(id) {
-				return "", false
-			}
-			churnMu.Lock()
-			defer churnMu.Unlock()
-			if victimised[id] {
-				return "", false
-			}
-			victimised[id] = true
-			return id, true
-		},
-		Cliff: func(id simnet.NodeID, fraction float64) {
-			if ph := r.Phone(id); ph != nil && !ph.Dead() {
-				ph.Revive(fraction)
-			}
-		},
-		Pos: func(id simnet.NodeID) phone.Position {
-			if ph := r.Phone(id); ph != nil {
-				return ph.Position()
-			}
-			return phone.Position{}
-		},
-		SetPos: func(id simnet.NodeID, p phone.Position) {
-			if ph := r.Phone(id); ph != nil {
-				ph.SetPosition(p)
-			}
-		},
-		SetVel: func(id simnet.NodeID, vx, vy float64) {
-			if ph := r.Phone(id); ph != nil {
-				ph.SetVelocity(vx, vy)
-			}
-		},
-		Departed: func(id simnet.NodeID) {
-			r.DepartPhone(id)
-			ctrl.NotifyDeparture(r.ID(), id)
-		},
-		Join: func(int) {
-			r.AddPhone(phone.Config{BatteryJoules: churnBatteryJoules})
-			atomic.AddInt64(&joins, 1)
-		},
-	}, workload.ChurnConfig{
-		MeanLeave:     s.MeanLeave,
-		MeanJoin:      churnMeanJoin,
-		CliffShare:    churnCliffShare,
-		CliffFraction: churnCliffFraction,
-		WalkSpeed:     churnWalkSpeed,
-		RadiusM:       churnRadiusM,
-		Seed:          s.Seed,
-	})
-
-	clk.Sleep(s.Measure)
-	churn.Stop()
-	gen.Stop()
-	clk.Sleep(s.Drain)
-
-	mode := "greedy"
-	if s.Planner {
+		run.planner.Cooldown = 20 * time.Second
 		mode = "planner"
 	}
-	rep := r.Report(clk.Now())
-	commits, aborts := ctrl.PlanStats("r1")
-	out := PlacementOutcome{
-		Mode:              mode,
-		Ingested:          atomic.LoadInt64(&ingested),
-		Delivered:         r.Throughput.Count(),
-		Duplicates:        r.DuplicateOutputs(),
-		Migrations:        ctrl.Migrations("r1"),
-		Recoveries:        ctrl.Recoveries("r1"),
-		PlanCommits:       commits,
-		PlanAborts:        aborts,
-		CrossChannelShare: rep.CrossChannelShare,
-		Departures:        ctrl.Departures("r1"),
-		Joins:             int(atomic.LoadInt64(&joins)),
-		Dead:              ctrl.RegionDead("r1"),
-	}
-	for _, a := range rep.ChannelAirtime {
-		out.ChannelAirtimeSec = append(out.ChannelAirtimeSec, a.Seconds())
-	}
-	out.Lost = out.Ingested - out.Delivered
-	if out.Lost < 0 {
-		out.Lost = 0
-	}
-	out.ThroughputTPS = float64(out.Delivered) / s.Measure.Seconds()
-	out.DowntimeSec = gaps.closeAt(end).Seconds()
-	r.Stop()
-	ctrl.Stop()
-	return out, nil
+	out, err := runChurnRegion(run)
+	out.Mode = mode
+	return out, err
 }
 
 // PlacementComparison runs the greedy baseline and the planner under an
@@ -377,7 +213,7 @@ func PlacementMetrics(rows []PlacementOutcome) Metrics {
 
 // WritePlacementTable renders the comparison for humans.
 func WritePlacementTable(w io.Writer, rows []PlacementOutcome) {
-	fmt.Fprintln(w, "Placement — greedy scorer vs topology-aware planner")
+	fmt.Fprintln(w, "Placement — greedy scheduler vs topology-aware planner")
 	fmt.Fprintf(w, "%-8s %9s %10s %5s %9s %11s %11s %7s %7s %10s\n",
 		"mode", "ingested", "delivered", "lost", "downtime", "migrations", "recoveries", "commit", "abort", "cross")
 	for _, o := range rows {

@@ -58,9 +58,13 @@ func TestPlacementPlannerBeatsGreedyCrossChannel(t *testing.T) {
 		if greedy.Delivered == 0 || planner.Delivered == 0 {
 			t.Fatal("a run delivered nothing")
 		}
-		if greedy.PlanCommits != 0 || greedy.PlanAborts != 0 {
-			t.Fatalf("greedy arm ran the planner: commits=%d aborts=%d",
-				greedy.PlanCommits, greedy.PlanAborts)
+		// Greedy plans run through the same executor and are counted, but
+		// they hold migrate steps only: every committed one completed at
+		// least one migration. More commits than migrations means the
+		// greedy arm ran the planner's reserve/release steps.
+		if greedy.PlanCommits > greedy.Migrations {
+			t.Fatalf("greedy arm ran the planner: commits=%d migrations=%d",
+				greedy.PlanCommits, greedy.Migrations)
 		}
 		if raceEnabled {
 			// Race instrumentation inflates every wall step ~10x, which

@@ -9,6 +9,7 @@
 package broadcast
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -137,9 +138,25 @@ func numBlocks(size, blockSize int) int {
 	return (size + blockSize - 1) / blockSize
 }
 
+// errStopped reports a bitmap query cut short by the done channel.
+var errStopped = errors.New("broadcast: dissemination stopped")
+
+// stopped reports whether done is closed; a nil done never is.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Disseminate persists blob from `from` onto every peer. It blocks (in
-// simulated time) until the UDP phases and the TCP fill complete.
-func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) Stats {
+// simulated time) until the UDP phases and the TCP fill complete, or until
+// done closes: a sender that is shutting down must not sit out a
+// QueryTimeout per peer that has already stopped. A dissemination cut short
+// returns what it did so far; done may be nil.
+func Disseminate(m Medium, w Waiter, done <-chan struct{}, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) Stats {
 	cfg.applyDefaults()
 	var st Stats
 
@@ -169,6 +186,9 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 	grams := make([]simnet.Datagram, 0, total)
 
 	for phase := 1; phase <= cfg.MaxUDPPhases && len(toSend) > 0 && len(reachable) > 0; phase++ {
+		if stopped(done) {
+			return st
+		}
 		st.UDPPhases = phase
 		grams = grams[:len(toSend)]
 		sent := int64(0)
@@ -188,7 +208,10 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 		bitmapBytes := int64(0)
 		var stillReachable []simnet.NodeID
 		for _, p := range reachable {
-			bm, n, err := queryBitmap(m, w, from, p, blob, total, cfg)
+			bm, n, err := queryBitmap(m, w, done, from, p, blob, total, cfg)
+			if err == errStopped {
+				return st
+			}
 			if err != nil {
 				st.Unreachable = append(st.Unreachable, p)
 				continue
@@ -228,8 +251,8 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 	// Final reliable phase: fill remaining holes over a TCP tree rooted
 	// at the first peer (§III-C). Each edge carries the union of blocks
 	// missing in the child's subtree.
-	if len(reachable) > 0 {
-		tcp, complete, unreachable := tcpFill(m, from, reachable, bitmaps, blob, total, cfg)
+	if len(reachable) > 0 && !stopped(done) {
+		tcp, complete, unreachable := tcpFill(m, done, from, reachable, bitmaps, blob, total, cfg)
 		st.TCPBytes = tcp
 		st.Complete = complete
 		st.Unreachable = append(st.Unreachable, unreachable...)
@@ -237,7 +260,7 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 	return st
 }
 
-func queryBitmap(m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.Blob, total int, cfg Config) ([]bool, int, error) {
+func queryBitmap(m Medium, w Waiter, done <-chan struct{}, from, peer simnet.NodeID, blob *checkpoint.Blob, total int, cfg Config) ([]bool, int, error) {
 	reply, err := m.Request(from, peer, simnet.ClassBitmap, cfg.QueryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total})
 	if err != nil {
 		return nil, 0, err
@@ -251,6 +274,8 @@ func queryBitmap(m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.
 		return bm, msg.Size, nil
 	case <-w.After(cfg.QueryTimeout):
 		return nil, 0, fmt.Errorf("broadcast: bitmap query to %s timed out", peer)
+	case <-done:
+		return nil, 0, errStopped
 	}
 }
 
@@ -276,7 +301,9 @@ func BitmapWireBytes(total int) int { return (total + 7) / 8 }
 // pushes each subtree's missing-block union down edge by edge. The sender
 // orchestrates the relay sends; airtime is charged per hop with the actual
 // relaying parent as the transmitter, which is what the medium model needs.
-func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps map[simnet.NodeID][]bool, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
+// Once done closes, the edges not yet sent count as broken: their subtrees
+// are reported unreachable.
+func tcpFill(m Medium, done <-chan struct{}, from simnet.NodeID, peers []simnet.NodeID, bitmaps map[simnet.NodeID][]bool, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
 	// missing per peer
 	need := make(map[simnet.NodeID][]int, len(peers))
 	for _, p := range peers {
@@ -322,7 +349,7 @@ func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps map[si
 		queue = queue[1:]
 		child := peers[e.child]
 		union := subtreeNeed[e.child]
-		if dead[e.parent] {
+		if dead[e.parent] || stopped(done) {
 			// Relay chain broken: the subtree is unreachable this round;
 			// children inherit the broken parent.
 			dead[child] = true

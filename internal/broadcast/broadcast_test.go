@@ -84,7 +84,7 @@ func TestPaperWalkthrough(t *testing.T) {
 		}
 	}
 
-	st := Disseminate(med, clock.NewManual(), "sender", []simnet.NodeID{"A", "B", "C"}, blob, Config{BlockSize: 1024})
+	st := Disseminate(med, clock.NewManual(), nil, "sender", []simnet.NodeID{"A", "B", "C"}, blob, Config{BlockSize: 1024})
 
 	if st.UDPPhases != 3 {
 		t.Fatalf("UDP phases = %d, want 3", st.UDPPhases)
@@ -121,7 +121,7 @@ func TestDisseminateNoLossSinglePhase(t *testing.T) {
 		"A": NewReceiver(stores["A"]), "B": NewReceiver(stores["B"]),
 	}}
 	med.deliver = func(int, simnet.NodeID, int) bool { return true }
-	st := Disseminate(med, clock.NewManual(), "s", []simnet.NodeID{"A", "B"}, blob, Config{BlockSize: 1024})
+	st := Disseminate(med, clock.NewManual(), nil, "s", []simnet.NodeID{"A", "B"}, blob, Config{BlockSize: 1024})
 	if st.UDPPhases != 1 {
 		t.Fatalf("phases = %d, want 1", st.UDPPhases)
 	}
@@ -139,7 +139,7 @@ func TestDisseminateTotalLossFallsBackToTCP(t *testing.T) {
 		"A": NewReceiver(storage.New()), "B": NewReceiver(storage.New()),
 	}}
 	med.deliver = func(int, simnet.NodeID, int) bool { return false }
-	st := Disseminate(med, clock.NewManual(), "s", []simnet.NodeID{"A", "B"}, blob, Config{BlockSize: 1024})
+	st := Disseminate(med, clock.NewManual(), nil, "s", []simnet.NodeID{"A", "B"}, blob, Config{BlockSize: 1024})
 	// Phase 1: gain 0 < cost -> straight to TCP, which must complete both.
 	if st.UDPPhases != 1 {
 		t.Fatalf("phases = %d, want 1", st.UDPPhases)
@@ -157,7 +157,7 @@ func TestDisseminateNoPeers(t *testing.T) {
 	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 1024, Ops: map[string][]byte{}}
 	med := &scriptMedium{receivers: map[simnet.NodeID]*Receiver{}}
 	med.deliver = func(int, simnet.NodeID, int) bool { return true }
-	st := Disseminate(med, clock.NewManual(), "s", nil, blob, Config{})
+	st := Disseminate(med, clock.NewManual(), nil, "s", nil, blob, Config{})
 	if st.UDPPhases != 0 || st.UDPBytes != 0 {
 		t.Fatalf("stats = %+v, want empty", st)
 	}
@@ -201,7 +201,7 @@ func TestDisseminateLive(t *testing.T) {
 	}
 
 	blob := &checkpoint.Blob{Slot: "s", Version: 9, Size: 64 * 1024, Ops: map[string][]byte{}}
-	st := Disseminate(w, clk, "s", peers, blob, Config{BlockSize: 1024, QueryTimeout: 60 * time.Second})
+	st := Disseminate(w, clk, nil, "s", peers, blob, Config{BlockSize: 1024, QueryTimeout: 60 * time.Second})
 	if len(st.Complete) != 3 {
 		t.Fatalf("complete = %v, unreachable = %v", st.Complete, st.Unreachable)
 	}
@@ -291,5 +291,49 @@ func TestNumBlocksAndBlockBytes(t *testing.T) {
 	}
 	if BitmapWireBytes(8192) != 1024 || BitmapWireBytes(1) != 1 {
 		t.Fatal("bitmap wire size wrong")
+	}
+}
+
+// silentMedium accepts every send and never answers a bitmap query; each
+// query is announced on queried.
+type silentMedium struct{ queried chan simnet.NodeID }
+
+func (s *silentMedium) BroadcastBatch(simnet.NodeID, simnet.Class, []simnet.Datagram) []int {
+	return nil
+}
+
+func (s *silentMedium) Request(_, to simnet.NodeID, _ simnet.Class, _ int, _ interface{}) (chan simnet.Message, error) {
+	s.queried <- to
+	return make(chan simnet.Message), nil
+}
+
+func (s *silentMedium) Unicast(simnet.NodeID, simnet.NodeID, simnet.Class, int, interface{}) error {
+	return nil
+}
+
+// neverWaiter's timers never fire: a query to a silent peer waits forever.
+type neverWaiter struct{}
+
+func (neverWaiter) After(time.Duration) <-chan time.Duration { return nil }
+
+// TestDisseminateReturnsWhenDone pins the stop path: a sender whose peers
+// have stopped answering must not wait out a QueryTimeout per peer once it
+// is told to stop. With timers that never fire, Disseminate returns only
+// because done closed, and it reports no peer complete.
+func TestDisseminateReturnsWhenDone(t *testing.T) {
+	med := &silentMedium{queried: make(chan simnet.NodeID)}
+	done := make(chan struct{})
+	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 4096, Ops: map[string][]byte{}}
+	result := make(chan Stats)
+	go func() {
+		result <- Disseminate(med, neverWaiter{}, done, "s", []simnet.NodeID{"A", "B", "C"}, blob, Config{BlockSize: 1024})
+	}()
+	if peer := <-med.queried; peer != "A" {
+		t.Fatalf("first bitmap query went to %s, want A", peer)
+	}
+	close(done)
+	st := <-result
+	if st.UDPPhases != 1 || len(st.Complete) != 0 || st.TCPBytes != 0 {
+		t.Fatalf("stopped dissemination = %+v, want one UDP phase, nothing complete, no TCP fill", st)
 	}
 }

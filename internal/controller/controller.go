@@ -33,16 +33,15 @@ type Config struct {
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
 	// Sched, when non-nil, enables adaptive placement: every ScheduleTick
-	// the controller polls region telemetry and executes the planned live
-	// migrations (proactive; the paper's reactive recovery still backstops
-	// anything the scheduler misses).
+	// the controller polls a region snapshot and executes the greedy plan
+	// of live migrations (proactive; the paper's reactive recovery still
+	// backstops anything the scheduler misses).
 	Sched *scheduler.Scheduler
 	// Planner, when non-nil, enables topology-aware placement planning:
-	// each tick the controller snapshots the region's channel topology,
-	// asks the planner for a versioned plan, and executes its migrate /
-	// reserve / release steps through the migration machinery, journaling
-	// the plan lifecycle. When the planner reports no usable topology the
-	// tick falls back to Sched's greedy scorer (the baseline).
+	// each tick the controller asks the planner for a versioned plan of
+	// migrate / reserve / release steps. When the planner reports no usable
+	// topology the tick asks Sched instead. Either plan runs through the
+	// same executor, which journals the plan lifecycle.
 	Planner *scheduler.Planner
 	// ScheduleTick is the telemetry/planning period (default 10 s).
 	ScheduleTick time.Duration

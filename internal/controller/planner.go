@@ -4,35 +4,19 @@ import (
 	"fmt"
 
 	"mobistreams/internal/placement"
-	"mobistreams/internal/scheduler"
-	"mobistreams/internal/simnet"
 )
 
-// runPlan executes one planner tick for a region: snapshot the channel
-// topology (with the controller's spare holdings), ask the planner for a
-// plan, and execute its steps in order. The plan lifecycle is surfaced
-// through the region journal: plan.propose when a non-empty plan starts,
-// plan.step per executed step, then plan.commit — or plan.abort the moment
-// a migrate step fails, because a failed migration means the snapshot went
-// stale under the plan (the target departed, or recovery moved the slot)
-// and executing the remaining steps would compound the drift; the next
-// tick replans from fresh telemetry. It returns false only when the
-// planner reports no usable topology, sending the caller to the greedy
-// fallback.
-func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
-	m.mu.Lock()
-	spares := make(map[simnet.NodeID]bool, len(m.spares))
-	for id := range m.spares {
-		spares[id] = true
-	}
-	m.mu.Unlock()
-
-	plan := c.cfg.Planner.Plan(m.r.PlacementSnapshot(stats, spares))
-	if plan == nil {
-		return false
-	}
-	if len(plan.Steps) == 0 {
-		return true
+// runPlan executes one plan's steps in order. The plan lifecycle is
+// surfaced through the region journal: plan.propose when a non-empty plan
+// starts, plan.step per executed step, then plan.commit — or plan.abort the
+// moment a migrate step fails, because a failed migration means the
+// snapshot went stale under the plan (the target departed, or recovery
+// moved the slot) and executing the remaining steps would compound the
+// drift; the next tick replans from fresh telemetry. A nil or empty plan
+// does nothing.
+func (c *Controller) runPlan(m *managed, plan *placement.Plan) {
+	if plan == nil || len(plan.Steps) == 0 {
+		return
 	}
 	m.r.Jot("plan.propose", "", plan.Version, fmt.Sprintf("%d steps", len(plan.Steps)))
 	for i, st := range plan.Steps {
@@ -41,7 +25,7 @@ func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
 			m.mu.Lock()
 			m.planAborts++
 			m.mu.Unlock()
-			return true
+			return
 		}
 		ok := c.execStep(m, st)
 		m.r.Jot("plan.step", st.Slot, plan.Version,
@@ -51,14 +35,13 @@ func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
 			m.mu.Lock()
 			m.planAborts++
 			m.mu.Unlock()
-			return true
+			return
 		}
 	}
 	m.r.Jot("plan.commit", "", plan.Version, fmt.Sprintf("%d steps", len(plan.Steps)))
 	m.mu.Lock()
 	m.planCommits++
 	m.mu.Unlock()
-	return true
 }
 
 // execStep executes one plan step. Reserve and release failures are
@@ -95,16 +78,14 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		preclaimed := m.spares[st.To]
 		delete(m.spares, st.To)
 		m.mu.Unlock()
-		return c.migrateTo(m, scheduler.Migration{
-			Slot: st.Slot, From: st.From, To: st.To, Reason: st.Reason,
-		}, preclaimed)
+		return c.migrateTo(m, st, preclaimed)
 	default:
 		return false
 	}
 }
 
-// PlanStats reports how many placement plans a region committed and
-// aborted.
+// PlanStats reports how many placement plans — the planner's and the
+// greedy scheduler's alike — a region committed and aborted.
 func (c *Controller) PlanStats(regionID string) (committed, aborted int) {
 	c.mu.Lock()
 	m := c.regions[regionID]

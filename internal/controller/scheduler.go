@@ -4,18 +4,19 @@ import (
 	"time"
 
 	"mobistreams/internal/node"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
-// scheduleLoop runs the adaptive placement ticks for one region: poll
-// telemetry, publish the federation rollup, let the scheduler plan, and
-// execute each planned migration sequentially. Planning is skipped while
-// the region is recovering or mid-checkpoint — a migration in either
-// window would race the very machinery it exists to spare. The rollup is
-// published regardless: the federation wants to hear about a region
-// precisely when it is struggling.
+// scheduleLoop runs the adaptive placement ticks for one region: poll one
+// telemetry snapshot, publish the federation rollup from it, ask the
+// planner for a plan — or greedy when the planner reports no usable
+// topology — and execute the plan. Planning is skipped while the region is
+// recovering or mid-checkpoint — a migration in either window would race
+// the very machinery it exists to spare. The rollup is published
+// regardless: the federation wants to hear about a region precisely when
+// it is struggling.
 func (c *Controller) scheduleLoop(m *managed) {
 	defer c.wg.Done()
 	for {
@@ -24,44 +25,28 @@ func (c *Controller) scheduleLoop(m *managed) {
 			if m.isDead() {
 				return
 			}
-			var stats scheduler.RegionStats
-			polled := false
+			m.mu.Lock()
+			busy := m.recovering || m.pendingVer != 0
+			m.mu.Unlock()
+			planning := !busy && (c.cfg.Sched != nil || c.cfg.Planner != nil)
+			if !planning && c.cfg.FederationSink == nil {
+				// Poll only when something reads the snapshot: Telemetry
+				// differentiates battery drain across polls, so an extra
+				// poll during a busy window would perturb the risk scores.
+				continue
+			}
+			snap := m.r.Telemetry()
 			if c.cfg.FederationSink != nil {
-				stats = m.r.Telemetry()
-				polled = true
 				m.mu.Lock()
 				m.fedEpoch++
 				epoch := m.fedEpoch
 				m.mu.Unlock()
-				ru := region.RollupFromStats(stats, epoch)
+				ru := region.RollupFromSnapshot(snap, epoch)
 				ru.OutTuples = m.r.Outputs()
 				c.cfg.FederationSink(ru)
 			}
-			m.mu.Lock()
-			busy := m.recovering || m.pendingVer != 0
-			m.mu.Unlock()
-			if busy || (c.cfg.Sched == nil && c.cfg.Planner == nil) {
-				continue
-			}
-			if !polled {
-				// Poll lazily: Telemetry() differentiates drain and tuple
-				// rates across polls, so an extra poll during a busy window
-				// would perturb the scheduler's risk scores.
-				stats = m.r.Telemetry()
-			}
-			if c.cfg.Planner != nil && c.runPlan(m, stats) {
-				continue
-			}
-			// Greedy baseline, and the fallback when the planner reports
-			// no usable channel topology.
-			if c.cfg.Sched == nil {
-				continue
-			}
-			for _, mig := range c.cfg.Sched.Plan(stats) {
-				if c.stopped() {
-					return
-				}
-				c.migrateSlot(m, mig)
+			if planning {
+				c.runPlan(m, c.plan(m, snap))
 			}
 		case <-c.stopCh:
 			return
@@ -69,14 +54,25 @@ func (c *Controller) scheduleLoop(m *managed) {
 	}
 }
 
-// migrateSlot executes one planned live migration: claim the target out of
-// the idle pool, ship operator code, order the at-risk host to transfer its
-// slot over WiFi (CmdMigrate), await the replacement's restore report, then
-// atomically repoint placement. In-flight batches drain to the new home
-// through the existing resolver-per-retry delivery path, and the vacated
-// host relays stragglers until senders observe the new placement.
-func (c *Controller) migrateSlot(m *managed, mig scheduler.Migration) bool {
-	return c.migrateTo(m, mig, false)
+// plan marks the controller's warm spares on the snapshot and asks the
+// topology-aware planner for the region's next plan, falling back to the
+// greedy scheduler when the planner is absent or reports no usable channel
+// topology. It returns nil when neither policy plans.
+func (c *Controller) plan(m *managed, snap placement.Snapshot) *placement.Plan {
+	m.mu.Lock()
+	for i := range snap.Phones {
+		snap.Phones[i].Spare = m.spares[snap.Phones[i].ID]
+	}
+	m.mu.Unlock()
+	if c.cfg.Planner != nil {
+		if p := c.cfg.Planner.Plan(snap); p != nil {
+			return p
+		}
+	}
+	if c.cfg.Sched != nil {
+		return c.cfg.Sched.Plan(snap)
+	}
+	return nil
 }
 
 // returnTarget hands an unused migration target back: a pre-claimed warm
@@ -92,10 +88,15 @@ func (c *Controller) returnTarget(m *managed, to simnet.NodeID, preclaimed bool)
 	m.r.ReleaseToIdle(to)
 }
 
-// migrateTo is migrateSlot with spare-pool awareness: when preclaimed, the
-// target is a warm spare the planner already holds (no ClaimIdle) whose
-// operator code may already be aboard (no code ship).
-func (c *Controller) migrateTo(m *managed, mig scheduler.Migration, preclaimed bool) bool {
+// migrateTo executes one planned live migration: claim the target out of
+// the idle pool, ship operator code, order the at-risk host to transfer its
+// slot over WiFi (CmdMigrate), await the replacement's restore report, then
+// atomically repoint placement. In-flight batches drain to the new home
+// through the existing resolver-per-retry delivery path, and the vacated
+// host relays stragglers until senders observe the new placement. When
+// preclaimed, the target is a warm spare the planner already holds (no
+// ClaimIdle) whose operator code may already be aboard (no code ship).
+func (c *Controller) migrateTo(m *managed, mig placement.Step, preclaimed bool) bool {
 	if cur, ok := m.r.Placement(mig.Slot); !ok || cur != mig.From {
 		if preclaimed {
 			c.returnTarget(m, mig.To, true)
@@ -161,7 +162,7 @@ func (c *Controller) migrateTo(m *managed, mig scheduler.Migration, preclaimed b
 	}
 	m.r.SetPlacement(mig.Slot, mig.To)
 	// A manual migration of a healthy phone returns the evacuated source
-	// to the idle pool once it hosts nothing; scheduler-planned sources
+	// to the idle pool once it hosts nothing; policy-planned sources
 	// were evacuated *because* they are dying or leaving, and must never
 	// be handed out as replacements.
 	if mig.Reason == "manual" && len(m.r.SlotsOn(mig.From)) == 0 {
@@ -190,7 +191,9 @@ func (c *Controller) Migrate(regionID, slot string, to simnet.NodeID) bool {
 	if !ok {
 		return false
 	}
-	return c.migrateSlot(m, scheduler.Migration{Slot: slot, From: from, To: to, Reason: "manual"})
+	return c.migrateTo(m, placement.Step{
+		Kind: placement.StepMigrate, Slot: slot, From: from, To: to, Reason: "manual",
+	}, false)
 }
 
 // Migrations reports how many planned migrations a region has completed.

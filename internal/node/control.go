@@ -251,8 +251,13 @@ func (n *Node) persistLoop() {
 			}
 			if n.cfg.Scheme.Kind == ft.MS {
 				peers := n.livePeers()
-				st := broadcast.Disseminate(n.cfg.WiFi, n.clk, n.id, peers, blob, n.bcfg)
+				st := broadcast.Disseminate(n.cfg.WiFi, n.clk, n.stopCh, n.id, peers, blob, n.bcfg)
 				n.cfg.Phone.DrainTx(int(st.UDPBytes + st.TCPBytes))
+				select {
+				case <-n.stopCh:
+					return // Stop may have cut it short: report nothing
+				default:
+				}
 				n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: blob.Version, Replicas: len(st.Complete)})
 			}
 		case <-n.stopCh:

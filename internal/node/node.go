@@ -412,8 +412,8 @@ type Node struct {
 	extFwdSeq  atomic.Uint64
 	forwardTo  simnet.NodeID // post-handoff relay target (§III-E)
 	preBuf     []StreamMsg   // stream arrivals before activation
-	// processed counts executed data tuples (telemetry: the scheduler's
-	// per-slot tuple rate). Read atomically off the executor.
+	// processed counts executed data tuples (telemetry: the elastic
+	// policy's per-instance tuple rate). Read atomically off the executor.
 	processed uint64
 	// keyRangeGen counts completed key-range imports (split/merge state
 	// arrivals); the region polls it to detect that a shipped range has

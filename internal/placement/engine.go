@@ -15,7 +15,7 @@ type Config struct {
 	// departRateBoost hold one extra.
 	SparesPerDomain int
 	// HazardHorizon is how far ahead a forecast departure triggers an
-	// evacuation (default 75 s — ahead of the greedy scorer's reactive
+	// evacuation (default 75 s — ahead of the greedy scheduler's reactive
 	// thresholds, so planned moves beat emergency recovery).
 	HazardHorizon time.Duration
 	// MaxMigrations bounds migrate steps per plan (default 4).

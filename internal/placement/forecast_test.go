@@ -6,7 +6,7 @@ import (
 )
 
 // TestTimeToDeath pins the one battery time-to-death model the planner's
-// forecaster and the greedy scorer share.
+// forecaster and the greedy scheduler share.
 func TestTimeToDeath(t *testing.T) {
 	for _, c := range []struct {
 		name          string

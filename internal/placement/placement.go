@@ -19,9 +19,13 @@
 //     per domain, so a planned or emergency migration lands in-domain
 //     without paying cross-channel transfer cost.
 //
-// Like internal/scheduler the package holds no runtime references: the
-// region builds the Snapshot, the controller executes the Plan, and the
-// same snapshot always encodes to the same plan, byte for byte.
+// The Snapshot and Plan types are the placement stack's one vocabulary:
+// the region builds the Snapshot (Region.Telemetry), the greedy
+// scheduler in internal/scheduler reads it too and emits the same Plan
+// type (migrate steps only), and the controller executes either plan
+// through one executor. Like internal/scheduler the package holds no
+// runtime references, and the same snapshot always encodes to the same
+// plan, byte for byte.
 package placement
 
 import (

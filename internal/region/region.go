@@ -52,7 +52,7 @@ type Config struct {
 	// PreserveBroadcast replicates source logs region-wide (MobiStreams).
 	PreserveBroadcast bool
 	// Centre and RadiusM describe the region's WiFi coverage disc for the
-	// scheduler's departure prediction; RadiusM 0 disables it.
+	// placement policies' departure prediction; RadiusM 0 disables it.
 	Centre  phone.Position
 	RadiusM float64
 	// QoS configures edge-level tuple batching on every node's emission
@@ -130,8 +130,8 @@ type Region struct {
 	// home — until Stop shuts them down with the rest.
 	retired []*node.Node
 
-	// teleMu guards the previous-poll energy/processed readings the
-	// telemetry collector differentiates into drain and tuple rates.
+	// teleMu guards the previous-poll battery readings Telemetry
+	// differentiates into drain rates.
 	teleMu   sync.Mutex
 	telePrev map[simnet.NodeID]telePoint
 	// keyedPrev holds the previous per-instance processed counts the keyed
@@ -871,8 +871,10 @@ func (r *Region) Departed(id simnet.NodeID) bool {
 	return r.departed[id]
 }
 
-// Unregister removes a departed/failed phone from the region entirely. Its
-// node is not stopped here but retired: Stop still shuts it down.
+// Unregister removes a departed/failed phone from the region entirely —
+// from the phone set and the WiFi medium together, so every phone
+// Telemetry sees has a channel. Its node is not stopped here but retired:
+// Stop still shuts it down.
 func (r *Region) Unregister(id simnet.NodeID) {
 	r.mu.Lock()
 	if n := r.nodes[id]; n != nil {

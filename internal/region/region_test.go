@@ -15,6 +15,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
@@ -626,8 +627,9 @@ func TestDepartureWithoutMobilityStoryWarnsOnce(t *testing.T) {
 	}
 }
 
-// TestTelemetryCollector checks the scheduler's inputs: membership, slot
-// assignment, idle flags, and rate estimation across polls.
+// TestTelemetryCollector checks the placement policies' inputs:
+// membership, slot assignment, idle flags, channel domains, drain estimation
+// across polls, and positions relative to the region centre.
 func TestTelemetryCollector(t *testing.T) {
 	h := newHarness(t, ft.MSScheme, 6)
 	h.ingest(10)
@@ -637,48 +639,46 @@ func TestTelemetryCollector(t *testing.T) {
 	if first.Region != "r1" || len(first.Phones) != 6 {
 		t.Fatalf("telemetry = %s with %d phones, want r1 with 6", first.Region, len(first.Phones))
 	}
-	byID := func(rs []string, id string) bool {
-		for _, s := range rs {
-			if s == id {
-				return true
-			}
-		}
-		return false
+	if len(first.Domains) != 1 || len(first.Slots) != 5 || len(first.Edges) == 0 {
+		t.Fatalf("telemetry has %d domains, %d slots, %d edges; want 1, 5, >0",
+			len(first.Domains), len(first.Slots), len(first.Edges))
 	}
-	var sawIdle, sawHost bool
+	hosting := make(map[simnet.NodeID]bool)
+	var sawHost bool
+	for _, a := range first.Slots {
+		hosting[a.Phone] = true
+		if a.Slot == "n3" && a.Phone == "r1/p3" {
+			sawHost = true
+		}
+	}
+	var sawIdle bool
 	for _, p := range first.Phones {
 		if p.Idle {
 			sawIdle = true
-			if len(p.Slots) != 0 {
-				t.Fatalf("idle phone %s lists slots %v", p.ID, p.Slots)
+			if hosting[p.ID] {
+				t.Fatalf("idle phone %s hosts a slot: %+v", p.ID, first.Slots)
 			}
-		}
-		if p.ID == "r1/p3" && byID(p.Slots, "n3") {
-			sawHost = true
 		}
 		if p.BatteryJoules <= 0 || p.BatteryFraction <= 0 {
 			t.Fatalf("phone %s has no battery telemetry: %+v", p.ID, p)
 		}
 	}
 	if !sawIdle || !sawHost {
-		t.Fatalf("telemetry missing idle or host entries: %+v", first.Phones)
+		t.Fatalf("telemetry missing idle or host entries: %+v %+v", first.Phones, first.Slots)
 	}
 
-	// A second poll after more work carries positive drain and tuple rate.
+	// A second poll after more work carries a positive drain estimate.
 	h.ingest(20)
 	h.waitCount(t, 30, 10*time.Second)
 	second := h.r.Telemetry()
-	var drained, rated bool
+	var drained bool
 	for _, p := range second.Phones {
 		if p.DrainWatts > 0 {
 			drained = true
 		}
-		if p.TupleRate > 0 {
-			rated = true
-		}
 	}
-	if !drained || !rated {
-		t.Fatalf("second poll has no rate estimates (drained=%v rated=%v): %+v", drained, rated, second.Phones)
+	if !drained {
+		t.Fatalf("second poll has no drain estimate: %+v", second.Phones)
 	}
 
 	// A failed phone drops out of the telemetry.
@@ -687,6 +687,44 @@ func TestTelemetryCollector(t *testing.T) {
 	for _, p := range third.Phones {
 		if p.ID == "r1/p6" {
 			t.Fatal("failed phone still in telemetry")
+		}
+	}
+
+	// Positions are relative to a non-zero region centre, so the planners'
+	// trajectory model sees the phone's offset from the disc's middle.
+	centre := phone.Position{X: 10, Y: -5}
+	r, err := region.New(region.Config{
+		ID: "r2", Graph: diamondGraph(t), Registry: diamondRegistry(),
+		Scheme: ft.MSScheme, Phones: 6, Clock: h.clk,
+		WiFi:   simnet.WiFiConfig{BitsPerSecond: 100e6},
+		Centre: centre, RadiusM: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		x, vx, vy float64
+		want      time.Duration
+		ok        bool
+	}{
+		// 60 m out, moving radially outward at 2 m/s: boundary in 20 s.
+		{"outbound", 60, 2, 0, 20 * time.Second, true},
+		{"inbound", 60, -2, 0, 0, false},
+		{"tangential", 60, 0, 5, 0, false},
+		{"already out", 120, 0, 0, 0, true},
+	} {
+		ph := r.Phone("r2/p1")
+		ph.SetPosition(phone.Position{X: centre.X + c.x, Y: centre.Y})
+		ph.SetVelocity(c.vx, c.vy)
+		p := r.Telemetry().Phones[0]
+		if p.ID != "r2/p1" || p.X != c.x || p.Y != 0 || p.VelX != c.vx || p.VelY != c.vy {
+			t.Fatalf("%s: phone %s at (%v, %v) moving (%v, %v), want (%v, 0) moving (%v, %v)",
+				c.name, p.ID, p.X, p.Y, p.VelX, p.VelY, c.x, c.vx, c.vy)
+		}
+		d, ok := placement.TimeToBoundary(100, p.X, p.Y, p.VelX, p.VelY)
+		if d != c.want || ok != c.ok {
+			t.Fatalf("%s: ttb = %v/%v, want %v/%v", c.name, d, ok, c.want, c.ok)
 		}
 	}
 }
@@ -733,8 +771,8 @@ func TestSchedulerLoopEvacuatesLowBattery(t *testing.T) {
 		PingInterval:     time.Hour,
 		PingTimeout:      10 * time.Second,
 		Sched: scheduler.New(scheduler.Config{
-			Scorer:   &scheduler.HeuristicScorer{LowFraction: 0.15},
-			Cooldown: 5 * time.Second,
+			LowFraction: 0.15,
+			Cooldown:    5 * time.Second,
 		}),
 		ScheduleTick: 2 * time.Second,
 	})
@@ -787,6 +825,24 @@ func TestSchedulerLoopEvacuatesLowBattery(t *testing.T) {
 	}
 	if ctrl.Recoveries("r1") != 0 {
 		t.Fatal("reactive recovery fired; migration should have pre-empted it")
+	}
+	// The greedy plan runs through the planner's executor: it is journaled
+	// as propose -> step -> commit under one version and PlanStats counts it.
+	deadline = time.Now().Add(20 * time.Second)
+	for c, _ := ctrl.PlanStats("r1"); c == 0 && time.Now().Before(deadline); c, _ = ctrl.PlanStats("r1") {
+		time.Sleep(time.Millisecond)
+	}
+	if committed, aborted := ctrl.PlanStats("r1"); committed != 1 || aborted != 0 {
+		t.Fatalf("plan stats committed=%d aborted=%d, want 1 and 0", committed, aborted)
+	}
+	events := planEvents(r)
+	if len(events) != 3 || events[0].Kind != "plan.propose" || events[1].Kind != "plan.step" ||
+		events[2].Kind != "plan.commit" || events[0].Version != events[2].Version {
+		t.Fatalf("plan journal = %+v, want propose, step, commit of one version", events)
+	}
+	if step := events[1]; step.Slot != "n3" || !strings.Contains(step.Detail, "ok=true") ||
+		!strings.Contains(step.Detail, string(victim)+"->"+string(repl)) || !greedyStep(step.Detail) {
+		t.Fatalf("plan step = %+v, want greedy n3 %s->%s ok", step, victim, repl)
 	}
 	want := r.Throughput.Count() // whatever was ingested so far, delivered
 	h.ingest(10)

@@ -1,41 +1,31 @@
 package region
 
 import (
+	"mobistreams/internal/placement"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/wire"
 )
 
-// lowBatteryFraction is the battery level below which a phone counts
-// toward the rollup's risk figure. It mirrors the scheduler's default
-// LowFraction, so a region's published risk matches what its own
-// placement loop would act on.
-const lowBatteryFraction = 0.10
-
-// RollupFromStats folds one telemetry snapshot into the federation's
-// compact rollup frame. It is a pure function so the controller can reuse
-// the telemetry poll its scheduling tick already paid for.
-func RollupFromStats(rs scheduler.RegionStats, epoch uint64) wire.Rollup {
-	ru := wire.Rollup{Region: rs.Region, Epoch: epoch, Phones: len(rs.Phones)}
-	for i := range rs.Phones {
-		p := &rs.Phones[i]
+// RollupFromSnapshot folds one telemetry snapshot into the federation's
+// compact rollup frame: a few dozen bytes standing in for per-phone
+// telemetry that never leaves the region — the compression that keeps
+// backhaul control traffic flat as the federation grows. It is a pure
+// function so the controller can reuse the telemetry poll its scheduling
+// tick already paid for. BatteryRisk counts phones below the greedy
+// scheduler's default low-battery line, so a region's published risk
+// matches what its own placement loop would act on.
+func RollupFromSnapshot(snap placement.Snapshot, epoch uint64) wire.Rollup {
+	ru := wire.Rollup{Region: snap.Region, Epoch: epoch, Phones: len(snap.Phones)}
+	for i := range snap.Phones {
+		p := &snap.Phones[i]
 		if p.Idle {
 			ru.Idle++
 		}
 		ru.Backlog += p.Backlog
-		if p.BatteryFraction < lowBatteryFraction {
+		if p.BatteryFraction < scheduler.DefaultLowFraction {
 			ru.BatteryRisk++
 		}
 	}
-	return ru
-}
-
-// Rollup snapshots the region into the federation's summary frame: a few
-// dozen bytes standing in for per-phone telemetry that never leaves the
-// region — the compression that keeps backhaul control traffic flat as
-// the federation grows.
-func (r *Region) Rollup(epoch uint64) wire.Rollup {
-	ru := RollupFromStats(r.Telemetry(), epoch)
-	ru.OutTuples = r.Outputs()
 	return ru
 }
 

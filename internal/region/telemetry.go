@@ -6,100 +6,103 @@ import (
 
 	"mobistreams/internal/node"
 	"mobistreams/internal/phone"
-	"mobistreams/internal/scheduler"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/simnet"
 )
 
-// telePoint is one phone's previous telemetry poll, differentiated into
-// drain and tuple rates on the next poll.
+// telePoint is one previous telemetry poll, differentiated into a rate on
+// the next poll: battery drain for phones, tuple rate for keyed instances.
 type telePoint struct {
 	at        time.Duration
 	energy    float64
 	processed uint64
 }
 
-// Telemetry snapshots the region for the placement scheduler: per-phone
-// battery joules and observed drain rate, queue backlog and tuple rate from
-// the node runtime, the medium's bandwidth, and the GPS position/velocity
-// the departure predictor extrapolates. Failed and departed phones are
-// excluded — they are the reactive path's problem, not the scheduler's.
-func (r *Region) Telemetry() scheduler.RegionStats {
+// Telemetry snapshots the region for the placement policies: the WiFi
+// channel domains (membership, airtime, observed departures), every
+// in-service phone's domain, battery joules and observed drain rate, queue
+// backlog and GPS position/velocity relative to the region centre, the
+// current slot→phone assignment, and the graph's weighted slot
+// communication edges. Failed and departed phones are excluded — they are
+// the reactive path's problem, not the planners'. Drain is differentiated
+// across polls, so every poll moves the next one's estimate. The output
+// obeys the engine's ordering contract (domains by ID, phones by ID, slots
+// by name, edges by pair), so identical region state always snapshots
+// identically. Spare is left for the controller, which holds the pools.
+func (r *Region) Telemetry() placement.Snapshot {
 	now := r.clk.Now()
+	snap := placement.Snapshot{Region: r.cfg.ID, Now: now, RadiusM: r.cfg.RadiusM}
+	chans := r.wifi.ChannelStats()
 
 	r.mu.Lock()
 	type entry struct {
-		id    simnet.NodeID
-		slots []string
-		idle  bool
-		n     *node.Node
-		ph    *phone.Phone
+		p  placement.Phone
+		n  *node.Node
+		ph *phone.Phone
 	}
 	entries := make([]entry, 0, len(r.phones))
 	idle := make(map[simnet.NodeID]bool, len(r.idle))
 	for _, id := range r.idle {
 		idle[id] = true
 	}
-	slotsOn := make(map[simnet.NodeID][]string)
-	for s, p := range r.placement {
-		slotsOn[p] = append(slotsOn[p], s)
-	}
-	for id := range r.phones {
+	for id, ph := range r.phones {
 		if r.failed[id] || r.departed[id] {
 			continue
 		}
+		// Every phone joins the medium with the region and leaves it
+		// with Unregister, both under r.mu: the channel is always known.
+		ch, _ := r.wifi.ChannelOf(id)
 		entries = append(entries, entry{
-			id: id, slots: slotsOn[id], idle: idle[id],
-			n: r.nodes[id], ph: r.phones[id],
+			p: placement.Phone{ID: id, Domain: ch, Idle: idle[id]},
+			n: r.nodes[id], ph: ph,
 		})
 	}
-	rs := scheduler.RegionStats{
-		Region:  r.cfg.ID,
-		Now:     now,
-		Centre:  r.cfg.Centre,
-		RadiusM: r.cfg.RadiusM,
+	for slot, id := range r.placement {
+		snap.Slots = append(snap.Slots, placement.Assignment{Slot: slot, Phone: id})
 	}
-	radioBps := r.wifi.Config().BitsPerSecond
+	departs := append([]int64(nil), r.domainDeparts...)
 	r.mu.Unlock()
 
+	for i, cs := range chans {
+		d := placement.Domain{ID: cs.Channel, Members: cs.Members, Present: cs.Present, Airtime: cs.Airtime}
+		if i < len(departs) {
+			d.Departures = departs[i]
+		}
+		snap.Domains = append(snap.Domains, d)
+	}
+
 	r.teleMu.Lock()
-	defer r.teleMu.Unlock()
 	seen := make(map[simnet.NodeID]bool, len(entries))
 	for _, e := range entries {
-		seen[e.id] = true
-		ph := e.ph
-		st := scheduler.PhoneStat{
-			ID:              e.id,
-			Slots:           append([]string(nil), e.slots...),
-			Idle:            e.idle,
-			BatteryJoules:   ph.EnergyJoules(),
-			BatteryFraction: ph.BatteryFraction(),
-			RadioBps:        radioBps,
-			Position:        ph.Position(),
-		}
-		sort.Strings(st.Slots)
-		st.VelX, st.VelY = ph.Velocity()
-		var processed uint64
+		p := e.p
+		seen[p.ID] = true
+		p.BatteryJoules = e.ph.EnergyJoules()
+		p.BatteryFraction = e.ph.BatteryFraction()
+		pos := e.ph.Position()
+		p.X, p.Y = pos.X-r.cfg.Centre.X, pos.Y-r.cfg.Centre.Y
+		p.VelX, p.VelY = e.ph.Velocity()
 		if e.n != nil {
-			st.Backlog = e.n.Backlog()
-			processed = e.n.Processed()
+			p.Backlog = e.n.Backlog()
 		}
-		if prev, ok := r.telePrev[e.id]; ok && now > prev.at {
-			dt := (now - prev.at).Seconds()
-			if drained := prev.energy - st.BatteryJoules; drained > 0 {
-				st.DrainWatts = drained / dt
-			}
-			if processed > prev.processed {
-				st.TupleRate = float64(processed-prev.processed) / dt
+		if prev, ok := r.telePrev[p.ID]; ok && now > prev.at {
+			if drained := prev.energy - p.BatteryJoules; drained > 0 {
+				p.DrainWatts = drained / (now - prev.at).Seconds()
 			}
 		}
-		r.telePrev[e.id] = telePoint{at: now, energy: st.BatteryJoules, processed: processed}
-		rs.Phones = append(rs.Phones, st)
+		r.telePrev[p.ID] = telePoint{at: now, energy: p.BatteryJoules}
+		snap.Phones = append(snap.Phones, p)
 	}
 	for id := range r.telePrev {
 		if !seen[id] {
 			delete(r.telePrev, id)
 		}
 	}
-	sort.Slice(rs.Phones, func(i, j int) bool { return rs.Phones[i].ID < rs.Phones[j].ID })
-	return rs
+	r.teleMu.Unlock()
+
+	sort.Slice(snap.Phones, func(i, j int) bool { return snap.Phones[i].ID < snap.Phones[j].ID })
+	sort.Slice(snap.Slots, func(i, j int) bool { return snap.Slots[i].Slot < snap.Slots[j].Slot })
+	for _, e := range r.cfg.Graph.SlotEdges() {
+		snap.Edges = append(snap.Edges, placement.Edge{From: e.From, To: e.To, Weight: e.Weight})
+	}
+	return snap
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 )
 
 // TestCooldownUnification is the regression test for the scheduler/elastic
@@ -23,14 +23,15 @@ func TestCooldownUnification(t *testing.T) {
 			{Instance: "agg#1", Index: 1, Slot: "s9", Active: false},
 		}
 	}
-	rs := func(now time.Duration) RegionStats {
-		return RegionStats{
+	rs := func(now time.Duration) placement.Snapshot {
+		return placement.Snapshot{
 			Region: "r1",
 			Now:    now,
-			Phones: []PhoneStat{
-				{ID: "host", Slots: []string{"s1"}, BatteryFraction: 0.05, BatteryJoules: 5, Position: phone.Position{}},
+			Phones: []placement.Phone{
+				{ID: "host", BatteryFraction: 0.05, BatteryJoules: 5},
 				{ID: "idle", Idle: true, BatteryFraction: 0.9},
 			},
+			Slots: []placement.Assignment{{Slot: "s1", Phone: "host"}},
 		}
 	}
 
@@ -43,13 +44,13 @@ func TestCooldownUnification(t *testing.T) {
 	// 2. Five seconds later the migration scheduler sees the host of s1 at
 	// risk — but the slot's state is mid-flight from the split, so the
 	// shared ledger must hold the migration back.
-	if plan := sched.Plan(rs(105 * time.Second)); len(plan) != 0 {
+	if plan := sched.Plan(rs(105 * time.Second)); len(plan.Steps) != 0 {
 		t.Fatalf("slot s1 migrated %v inside the split cooldown", plan)
 	}
 
 	// 3. Past the window the migration goes ahead and notes the slot.
 	plan := sched.Plan(rs(200 * time.Second))
-	if len(plan) != 1 || plan[0].Slot != "s1" {
+	if len(plan.Steps) != 1 || plan.Steps[0].Slot != "s1" {
 		t.Fatalf("expected migration of s1 after cooldown, got %v", plan)
 	}
 

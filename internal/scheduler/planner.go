@@ -7,13 +7,13 @@ import (
 )
 
 // Planner is the topology-aware placement policy: it wraps the
-// placement.Engine and sits alongside the greedy Scorer as the
-// controller's preferred planner. The greedy path stays the baseline and
-// the fallback — Plan returns nil when the snapshot carries no usable
-// channel topology (fewer than two domains), telling the caller to run the
-// per-phone Scorer instead. Migrate steps pass through the shared per-slot
-// Cooldowns ledger, so plans, greedy migrations and elastic split/merges
-// all back off slots the others just disrupted.
+// placement.Engine and is the controller's preferred planner. The greedy
+// Scheduler stays the baseline and the fallback — Plan returns nil when the
+// snapshot carries no usable channel topology (fewer than two domains),
+// telling the caller to ask the Scheduler instead. Both return the same
+// placement.Plan type for the same executor. Migrate steps pass through the
+// shared per-slot Cooldowns ledger, so plans, greedy migrations and elastic
+// split/merges all back off slots the others just disrupted.
 type Planner struct {
 	Engine *placement.Engine
 	// Cooldown is the per-slot window applied to migrate steps
@@ -34,7 +34,7 @@ func NewPlanner(engine *placement.Engine, cooldowns *Cooldowns) *Planner {
 
 // Plan produces the next placement plan for one snapshot, or nil when the
 // topology is unknown and the caller should fall back to the greedy
-// scorer. Migrate steps for slots inside the cooldown window are dropped
+// Scheduler. Migrate steps for slots inside the cooldown window are dropped
 // from the plan; the kept ones are noted immediately — the caller is
 // expected to attempt every returned step.
 func (p *Planner) Plan(snap placement.Snapshot) *placement.Plan {

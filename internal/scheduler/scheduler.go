@@ -1,136 +1,127 @@
-// Package scheduler implements the adaptive placement scheduler: a pure
-// decision library that turns per-region telemetry (battery joules and
-// observed drain, radio bandwidth, per-slot queue backlog and tuple rate,
-// GPS trajectory extrapolated toward the WiFi range boundary) into planned
-// live migrations — moving an operator slot off an at-risk phone *before*
-// the phone dies or walks out of range, so the disruption the paper handles
-// with emergency checkpoint/recovery (§III-D, §IV-B) becomes a cheap
-// in-region handoff instead.
+// Package scheduler holds the adaptive placement policies: the greedy
+// per-phone Scheduler, the topology-aware Planner (a wrapper around
+// placement.Engine), the ElasticPolicy for keyed operators, and the
+// per-slot Cooldowns ledger all three share.
 //
-// The package deliberately holds no references to the region, node or
-// controller runtimes: the region produces RegionStats, the controller
-// executes the returned Migrations, and everything in between is plain data
-// — which keeps the policy unit-testable without a running system and lets
-// deployments swap the Scorer.
+// The greedy Scheduler turns one region snapshot (battery joules and
+// observed drain, queue backlog, GPS trajectory extrapolated toward the
+// WiFi range boundary) into planned live migrations — moving an operator
+// slot off an at-risk phone *before* the phone dies or walks out of range,
+// so the disruption the paper handles with emergency checkpoint/recovery
+// (§III-D, §IV-B) becomes a cheap in-region handoff instead.
+//
+// The package holds no references to the region, node or controller
+// runtimes. Both placement policies read the placement.Snapshot the region
+// builds and return a placement.Plan the controller executes; everything in
+// between is plain data, which keeps the policies unit-testable without a
+// running system.
 package scheduler
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
-	"mobistreams/internal/phone"
 	"mobistreams/internal/placement"
 	"mobistreams/internal/simnet"
 )
 
-// PhoneStat is one phone's telemetry snapshot.
-type PhoneStat struct {
-	ID    simnet.NodeID
-	Slots []string // slots whose primary is this phone; empty for idle
-	Idle  bool     // available as a migration target
+// DefaultLowFraction is the battery fraction below which a phone is at
+// risk whatever its drain estimate: comfortably above the 0.05 chronic
+// threshold, so the planned migration beats the emergency chronic-battery
+// report. The federation rollup counts phones below it as BatteryRisk.
+const DefaultLowFraction = 0.10
 
-	// Battery telemetry.
-	BatteryJoules   float64
-	BatteryFraction float64
-	// DrainWatts is the observed discharge rate since the previous poll
-	// (0 when unknown, e.g. on the first poll).
-	DrainWatts float64
-
-	// Load telemetry (from the node runtime and the PR-1 batch metrics).
-	Backlog   int     // queued-but-unprocessed stream items
-	TupleRate float64 // tuples processed per simulated second since last poll
-
-	// Radio telemetry.
-	RadioBps float64 // estimated share of the region medium
-
-	// Mobility telemetry.
-	Position phone.Position
-	VelX     float64 // metres per simulated second
-	VelY     float64
-}
-
-// RegionStats is one region's telemetry snapshot at simulated time Now.
-type RegionStats struct {
-	Region  string
-	Now     time.Duration
-	Centre  phone.Position
-	RadiusM float64 // WiFi range boundary; 0 disables departure prediction
-	Phones  []PhoneStat
-}
+const (
+	// departHorizon flags a phone whose straight-line trajectory crosses
+	// the WiFi boundary within this window.
+	departHorizon = 45 * time.Second
+	// maxPerTick bounds migrations per plan: moving the whole region at
+	// once would itself be the disruption the scheduler exists to avoid.
+	maxPerTick = 2
+	// targetRiskCeiling excludes candidate targets whose own risk score is
+	// at or above it: evacuating onto the next phone to die just doubles
+	// the work.
+	targetRiskCeiling = 0.5
+)
 
 // Risk is a scored hazard on a phone. Score >= 1 means the phone is
-// expected to disrupt the region within the scorer's horizon and its slots
-// should be migrated off.
+// expected to disrupt the region within the scheduler's horizons and its
+// slots should be migrated off.
 type Risk struct {
 	Score  float64
 	Reason string
 }
 
-// Scorer is the pluggable placement policy: Risk decides which phones to
-// evacuate, TargetScore ranks candidate replacements (higher is better).
-type Scorer interface {
-	Risk(rs RegionStats, p PhoneStat) Risk
-	TargetScore(rs RegionStats, p PhoneStat) float64
-}
-
-// HeuristicScorer is the default policy: a phone is at risk when its
+// Config parameterises the scheduler. A phone is at risk when its
 // projected battery death or WiFi boundary crossing falls within the
-// configured horizons, or when its battery is below LowFraction; targets
-// are ranked by battery headroom minus load.
-type HeuristicScorer struct {
+// horizons, or when its battery is below LowFraction.
+type Config struct {
 	// BatteryHorizon flags a phone whose projected time-to-death (energy /
 	// observed drain) is within this window (default 90 s).
 	BatteryHorizon time.Duration
 	// LowFraction flags a phone below this battery fraction regardless of
-	// the drain estimate (default 0.10 — comfortably above the 0.05
-	// chronic threshold, so the planned migration beats the emergency
-	// chronic-battery report).
+	// the drain estimate (default DefaultLowFraction).
 	LowFraction float64
-	// DepartHorizon flags a phone whose straight-line trajectory crosses
-	// the WiFi boundary within this window (default 45 s).
-	DepartHorizon time.Duration
+	// Cooldown suppresses re-planning a slot that was migrated within the
+	// window, so a noisy telemetry signal cannot thrash a slot between
+	// phones (default 30 s).
+	Cooldown time.Duration
+	// Cooldowns is the shared per-slot disruption ledger. Pass the same
+	// instance to the ElasticPolicy (and Planner) serving the region so
+	// migrations and split/merges see each other's cooldowns; a private
+	// ledger is created when nil.
+	Cooldowns *Cooldowns
 }
 
-// horizons resolves the configured values against defaults without
-// mutating the (shared, concurrently used) scorer.
-func (h *HeuristicScorer) horizons() (battery time.Duration, low float64, depart time.Duration) {
-	battery, low, depart = h.BatteryHorizon, h.LowFraction, h.DepartHorizon
-	if battery <= 0 {
-		battery = 90 * time.Second
+func (c *Config) applyDefaults() {
+	if c.BatteryHorizon <= 0 {
+		c.BatteryHorizon = 90 * time.Second
 	}
-	if low <= 0 {
-		low = 0.10
+	if c.LowFraction <= 0 {
+		c.LowFraction = DefaultLowFraction
 	}
-	if depart <= 0 {
-		depart = 45 * time.Second
+	if c.Cooldown <= 0 {
+		c.Cooldown = 30 * time.Second
 	}
-	return battery, low, depart
+	if c.Cooldowns == nil {
+		c.Cooldowns = NewCooldowns()
+	}
 }
 
-// TimeToBoundary extrapolates the phone's straight-line trajectory to the
-// region's WiFi range boundary (placement.TimeToBoundary, the one
-// trajectory model the scorer and the planner share).
-func TimeToBoundary(rs RegionStats, p PhoneStat) (time.Duration, bool) {
-	return placement.TimeToBoundary(rs.RadiusM,
-		p.Position.X-rs.Centre.X, p.Position.Y-rs.Centre.Y, p.VelX, p.VelY)
+// Scheduler plans migrations from region snapshots. One Scheduler may serve
+// many regions (the controller runs one planning loop per region against a
+// shared instance); the per-slot cooldown state lives in the shared
+// Cooldowns ledger.
+type Scheduler struct {
+	cfg     Config
+	version atomic.Uint64
 }
 
-// Risk implements Scorer.
-func (h *HeuristicScorer) Risk(rs RegionStats, p PhoneStat) Risk {
-	batteryHorizon, lowFraction, departHorizon := h.horizons()
+// New creates a scheduler.
+func New(cfg Config) *Scheduler {
+	cfg.applyDefaults()
+	return &Scheduler{cfg: cfg}
+}
+
+// Risk scores one phone's hazard: the worst of a low battery, a projected
+// battery death within BatteryHorizon, and a projected boundary crossing
+// within departHorizon.
+func (s *Scheduler) Risk(snap placement.Snapshot, p placement.Phone) Risk {
 	best := Risk{}
 	note := func(score float64, reason string) {
 		if score > best.Score {
 			best = Risk{Score: score, Reason: reason}
 		}
 	}
-	if p.BatteryFraction > 0 && p.BatteryFraction < lowFraction {
-		note(1+(lowFraction-p.BatteryFraction)/lowFraction, "battery-low")
+	low := s.cfg.LowFraction
+	if p.BatteryFraction > 0 && p.BatteryFraction < low {
+		note(1+(low-p.BatteryFraction)/low, "battery-low")
 	}
 	if ttd, ok := placement.TimeToDeath(p.BatteryJoules, p.DrainWatts); ok && ttd > 0 {
-		note(float64(batteryHorizon)/float64(ttd), "battery-drain")
+		note(float64(s.cfg.BatteryHorizon)/float64(ttd), "battery-drain")
 	}
-	if ttb, ok := TimeToBoundary(rs, p); ok {
+	if ttb, ok := placement.TimeToBoundary(snap.RadiusM, p.X, p.Y, p.VelX, p.VelY); ok {
 		if ttb <= 0 {
 			note(2, "departing")
 		} else {
@@ -140,141 +131,70 @@ func (h *HeuristicScorer) Risk(rs RegionStats, p PhoneStat) Risk {
 	return best
 }
 
-// TargetScore implements Scorer: battery headroom first, lightly penalised
-// by backlog and rewarded by radio headroom so two equal batteries tiebreak
-// toward the less loaded phone.
-func (h *HeuristicScorer) TargetScore(rs RegionStats, p PhoneStat) float64 {
-	score := p.BatteryFraction
-	score -= 0.01 * float64(p.Backlog)
-	if p.RadioBps > 0 {
-		score += 1e-9 * p.RadioBps
+// targetScore ranks candidate targets, higher first: battery headroom,
+// lightly penalised by backlog so two equal batteries tiebreak toward the
+// less loaded phone.
+func targetScore(p placement.Phone) float64 {
+	return p.BatteryFraction - 0.01*float64(p.Backlog)
+}
+
+// Plan inspects one region snapshot and returns a plan of migrate steps to
+// run now, most urgent first: each at-risk host's slots go to the
+// best-scoring idle phones, at most maxPerTick of them. Each planned slot
+// is noted in the cooldown ledger immediately — the caller is expected to
+// attempt the returned steps.
+func (s *Scheduler) Plan(snap placement.Snapshot) *placement.Plan {
+	risks := make([]Risk, len(snap.Phones))
+	for i, p := range snap.Phones {
+		risks[i] = s.Risk(snap, p)
 	}
-	return score
-}
-
-// Migration is one planned slot move.
-type Migration struct {
-	Slot   string
-	From   simnet.NodeID
-	To     simnet.NodeID
-	Reason string
-}
-
-// Config parameterises the scheduler.
-type Config struct {
-	// Scorer is the placement policy (default HeuristicScorer zero value).
-	Scorer Scorer
-	// Cooldown suppresses re-planning a slot that was migrated within the
-	// window, so a noisy telemetry signal cannot thrash a slot between
-	// phones (default 30 s).
-	Cooldown time.Duration
-	// MaxPerTick bounds planned migrations per Plan call; moving the whole
-	// region at once would itself be the disruption the scheduler exists
-	// to avoid (default 2).
-	MaxPerTick int
-	// Cooldowns is the shared per-slot disruption ledger. Pass the same
-	// instance to the ElasticPolicy (and Planner) serving the region so
-	// migrations and split/merges see each other's cooldowns; a private
-	// ledger is created when nil.
-	Cooldowns *Cooldowns
-}
-
-func (c *Config) applyDefaults() {
-	if c.Scorer == nil {
-		c.Scorer = &HeuristicScorer{}
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.MaxPerTick <= 0 {
-		c.MaxPerTick = 2
-	}
-	if c.Cooldowns == nil {
-		c.Cooldowns = NewCooldowns()
-	}
-}
-
-// targetRiskCeiling excludes candidate targets whose own risk score is at
-// or above it: evacuating onto the next phone to die just doubles the work.
-const targetRiskCeiling = 0.5
-
-// Scheduler plans migrations from telemetry. One Scheduler may serve many
-// regions (the controller runs one planning loop per region against a
-// shared instance); the per-slot cooldown state lives in the shared
-// Cooldowns ledger.
-type Scheduler struct {
-	cfg Config
-}
-
-// New creates a scheduler.
-func New(cfg Config) *Scheduler {
-	cfg.applyDefaults()
-	return &Scheduler{cfg: cfg}
-}
-
-// Cooldowns exposes the scheduler's per-slot disruption ledger so other
-// policies (ElasticPolicy, Planner) can share it.
-func (s *Scheduler) Cooldowns() *Cooldowns { return s.cfg.Cooldowns }
-
-// Plan inspects one region's telemetry and returns the migrations to run
-// now, most urgent first. Each returned slot is recorded against the
-// cooldown immediately — the caller is expected to attempt every returned
-// migration.
-func (s *Scheduler) Plan(rs RegionStats) []Migration {
-	sc := s.cfg.Scorer
-	risks := make(map[simnet.NodeID]Risk, len(rs.Phones))
-	for _, p := range rs.Phones {
-		risks[p.ID] = sc.Risk(rs, p)
+	slotsOn := make(map[simnet.NodeID][]string, len(snap.Slots))
+	for _, a := range snap.Slots { // sorted by slot
+		slotsOn[a.Phone] = append(slotsOn[a.Phone], a.Slot)
 	}
 
 	// Candidate targets: idle phones whose own risk is acceptable, best
-	// score first.
-	var targets []PhoneStat
-	for _, p := range rs.Phones {
-		if p.Idle && risks[p.ID].Score < targetRiskCeiling {
-			targets = append(targets, p)
+	// score first. At-risk hosts: most urgent first. Both tiebreak by ID.
+	var targets, hosts []int
+	for i, p := range snap.Phones {
+		if p.Idle && risks[i].Score < targetRiskCeiling {
+			targets = append(targets, i)
+		}
+		if len(slotsOn[p.ID]) > 0 && risks[i].Score >= 1 {
+			hosts = append(hosts, i)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool {
-		si, sj := sc.TargetScore(rs, targets[i]), sc.TargetScore(rs, targets[j])
-		if si != sj {
-			return si > sj
+		a, b := snap.Phones[targets[i]], snap.Phones[targets[j]]
+		if sa, sb := targetScore(a), targetScore(b); sa != sb {
+			return sa > sb
 		}
-		return targets[i].ID < targets[j].ID // deterministic tiebreak
+		return a.ID < b.ID
 	})
-
-	// At-risk hosts, most urgent first.
-	var hosts []PhoneStat
-	for _, p := range rs.Phones {
-		if len(p.Slots) > 0 && risks[p.ID].Score >= 1 {
-			hosts = append(hosts, p)
-		}
-	}
 	sort.Slice(hosts, func(i, j int) bool {
-		ri, rj := risks[hosts[i].ID].Score, risks[hosts[j].ID].Score
-		if ri != rj {
+		if ri, rj := risks[hosts[i]].Score, risks[hosts[j]].Score; ri != rj {
 			return ri > rj
 		}
-		return hosts[i].ID < hosts[j].ID
+		return snap.Phones[hosts[i]].ID < snap.Phones[hosts[j]].ID
 	})
 
-	var plan []Migration
+	plan := &placement.Plan{Region: snap.Region, Version: s.version.Add(1)}
 	ti := 0
-	for _, h := range hosts {
-		for _, slot := range h.Slots {
-			if len(plan) >= s.cfg.MaxPerTick || ti >= len(targets) {
+	for _, hi := range hosts {
+		h := snap.Phones[hi]
+		for _, slot := range slotsOn[h.ID] {
+			if len(plan.Steps) >= maxPerTick || ti >= len(targets) {
 				return plan
 			}
-			if !s.cfg.Cooldowns.Ready(rs.Region, slot, rs.Now, s.cfg.Cooldown) {
+			if !s.cfg.Cooldowns.Ready(snap.Region, slot, snap.Now, s.cfg.Cooldown) {
 				continue
 			}
-			plan = append(plan, Migration{
-				Slot:   slot,
-				From:   h.ID,
-				To:     targets[ti].ID,
-				Reason: risks[h.ID].Reason,
+			to := snap.Phones[targets[ti]]
+			plan.Steps = append(plan.Steps, placement.Step{
+				Kind: placement.StepMigrate, Slot: slot, From: h.ID,
+				To: to.ID, Domain: to.Domain, Reason: risks[hi].Reason,
 			})
-			s.cfg.Cooldowns.Note(rs.Region, slot, rs.Now)
+			s.cfg.Cooldowns.Note(snap.Region, slot, snap.Now)
 			ti++
 		}
 	}
