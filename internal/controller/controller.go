@@ -6,6 +6,7 @@
 package controller
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"time"
@@ -283,20 +284,27 @@ func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
 	}
 }
 
-// request issues a command and waits for the acknowledgement, returning
-// false on timeout or send failure.
-func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
+// Reasons a request went unacknowledged.
+var (
+	errNoAck    = errors.New("no ack before the timeout")
+	errStopping = errors.New("controller stopping")
+)
+
+// request issues a command and waits for the acknowledgement. It returns
+// nil once acked, the send error for an unreachable phone, errNoAck on
+// timeout and errStopping when the controller stops first.
+func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Duration) error {
 	reply, err := c.cfg.Cell.Request(c.cfg.ID, to, simnet.ClassControl, 64, cmd)
 	if err != nil {
-		return false
+		return err
 	}
 	select {
 	case <-reply:
-		return true
+		return nil
 	case <-c.clk.After(timeout):
-		return false
+		return errNoAck
 	case <-c.stopCh:
-		return false
+		return errStopping
 	}
 }
 
@@ -383,7 +391,8 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 // phone that lost the slot (stranded placement after a failed migration)
 // miss the timeout and trigger recovery. Rounds are skipped while a
 // migration is mid-flight, when one vacated-but-healthy source is the
-// expected transient state.
+// expected transient state. A round probes every slot at once, so one
+// silent slot's timeout delays no other probe.
 func (c *Controller) pingLoop(m *managed) {
 	defer c.wg.Done()
 	for {
@@ -395,19 +404,27 @@ func (c *Controller) pingLoop(m *managed) {
 			if m.isMigrating() {
 				continue
 			}
+			var wg sync.WaitGroup
 			for _, slot := range m.r.ActiveSlots() {
 				pid, ok := m.r.Placement(slot)
 				if !ok {
 					continue
 				}
-				if !c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout) {
+				wg.Add(1)
+				go func(slot string, pid simnet.NodeID) {
+					defer wg.Done()
+					err := c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout)
+					if err == nil || errors.Is(err, errStopping) {
+						return
+					}
 					// Re-resolve before reporting: a migration that
 					// started mid-round legitimately moved the slot.
 					if cur, ok := m.r.Placement(slot); ok && cur == pid {
 						c.noteFailure(m, pid)
 					}
-				}
+				}(slot, pid)
 			}
+			wg.Wait()
 		case <-c.stopCh:
 			return
 		}

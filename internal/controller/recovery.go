@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"fmt"
+	"sync"
 	"time"
 
 	"mobistreams/internal/ft"
@@ -148,7 +150,9 @@ func (c *Controller) noteFailure(m *managed, phoneID simnet.NodeID) {
 }
 
 // recover replaces the failed phones and restores the region according to
-// its scheme.
+// its scheme. The journal records each recovery with its inputs:
+// recover.begin names the reported phones and their slots, recover.done
+// the version restored and the recovery epoch.
 func (c *Controller) recover(m *managed, failed []simnet.NodeID) {
 	scheme := m.r.Scheme()
 	var failedSlots []string
@@ -164,8 +168,10 @@ func (c *Controller) recover(m *managed, failed []simnet.NodeID) {
 	}
 	m.mu.Lock()
 	m.recoveries++
+	v := m.committed
 	m.mu.Unlock()
 	c.logf("controller: recovering %s: %d phones, slots %v", m.r.ID(), len(failed), failedSlots)
+	m.r.Jot("recover.begin", "", v, fmt.Sprintf("phones=%v slots=%v", failed, failedSlots))
 
 	switch scheme.Kind {
 	case ft.MS:
@@ -178,11 +184,23 @@ func (c *Controller) recover(m *managed, failed []simnet.NodeID) {
 		// base and local have no phone-replacement story.
 		c.killRegion(m)
 	}
+	m.mu.Lock()
+	dead, epoch := m.dead, m.epoch
+	m.mu.Unlock()
+	if !dead && !c.stopped() {
+		m.r.Jot("recover.done", "", v, fmt.Sprintf("epoch=%d", epoch))
+	}
 }
 
 // recoverMS is MobiStreams recovery (§III-D): replacements read the MRC
 // from their own local storage, every node restores in parallel, sources
 // replay preserved input, sinks suppress catch-up output.
+//
+// One pass handles a whole burst. The pause round reaches every phone at
+// once, and a phone that misses its pause is a burst-mate whose failure
+// report has not arrived yet: it is folded into this recovery, not left
+// for a second region-wide rollback. Restore then waits only on phones
+// that acked their pause.
 func (c *Controller) recoverMS(m *managed, failedSlots []string) {
 	if !m.r.Scheme().CanRecover(len(failedSlots), m.r.IdleCount()) {
 		c.killRegion(m)
@@ -195,26 +213,46 @@ func (c *Controller) recoverMS(m *managed, failedSlots []string) {
 	m.restored = make(map[simnet.NodeID]uint64)
 	m.mu.Unlock()
 
-	for _, slot := range failedSlots {
-		repl := m.r.TakeIdle()
-		if repl == "" {
+	if c.replace(m, failedSlots) == nil {
+		c.killRegion(m)
+		return
+	}
+	// Pause all active phones at tuple boundaries — the replacements are
+	// among them — then the replacements of every folded burst-mate.
+	burst := len(failedSlots)
+	var live []simnet.NodeID
+	for pausing := c.activePhones(m); len(pausing) > 0; {
+		errs := c.pauseAll(pausing)
+		if c.stopped() {
+			return
+		}
+		var folded []string
+		for i, pid := range pausing {
+			if errs[i] == nil {
+				live = append(live, pid)
+			} else {
+				folded = append(folded, c.fold(m, pid, errs[i])...)
+			}
+		}
+		if len(folded) == 0 {
+			break
+		}
+		replaced := burst
+		burst += len(folded)
+		if !m.r.Scheme().CanRecover(burst, m.r.IdleCount()+replaced) {
 			c.killRegion(m)
 			return
 		}
-		c.shipCode(repl)
-		m.r.ActivateReplacement(repl, slot)
-	}
-
-	// Pause all active phones at tuple boundaries.
-	phones := c.activePhones(m)
-	for _, pid := range phones {
-		c.request(pid, node.Command{Op: node.CmdPause}, 10*time.Second)
+		if pausing = c.replace(m, folded); pausing == nil {
+			c.killRegion(m)
+			return
+		}
 	}
 	// Parallel restoration from local storage.
-	for _, pid := range phones {
+	for _, pid := range live {
 		c.send(pid, node.Command{Op: node.CmdRestore, Version: v})
 	}
-	c.awaitRestored(m, phones, 30*time.Second)
+	c.awaitRestored(m, live, 30*time.Second)
 	// Catch-up: sources replay preserved input since the MRC.
 	for _, slot := range m.r.Graph().SourceSlots() {
 		if pid, ok := m.r.Placement(slot); ok {
@@ -225,6 +263,77 @@ func (c *Controller) recoverMS(m *managed, failedSlots []string) {
 	// arrivals until its resume, so every consumer must be open before
 	// any upstream starts pushing replay traffic.
 	c.resumeDownstreamFirst(m)
+}
+
+// replace re-hosts slots on idle phones: operator code ships to every
+// replacement at once (cellular downlinks are per phone; the tower's cap
+// still applies), then each replacement activates. It returns the
+// replacements, or nil when the idle pool runs dry.
+func (c *Controller) replace(m *managed, slots []string) []simnet.NodeID {
+	repls := make([]simnet.NodeID, len(slots))
+	for i := range slots {
+		if repls[i] = m.r.TakeIdle(); repls[i] == "" {
+			return nil
+		}
+	}
+	var wg sync.WaitGroup
+	for _, id := range repls {
+		wg.Add(1)
+		go func(id simnet.NodeID) {
+			defer wg.Done()
+			c.shipCode(id)
+		}(id)
+	}
+	wg.Wait()
+	for i, slot := range slots {
+		m.r.ActivateReplacement(repls[i], slot)
+	}
+	return repls
+}
+
+// pauseAll asks every phone to pause at its next tuple boundary, all at
+// once, so the round costs the slowest phone's boundary rather than the
+// sum of them. errs[i] is phones[i]'s outcome; nil means it acked.
+func (c *Controller) pauseAll(phones []simnet.NodeID) []error {
+	errs := make([]error, len(phones))
+	var wg sync.WaitGroup
+	for i, pid := range phones {
+		wg.Add(1)
+		go func(i int, pid simnet.NodeID) {
+			defer wg.Done()
+			errs[i] = c.request(pid, node.Command{Op: node.CmdPause}, 10*time.Second)
+		}(i, pid)
+	}
+	wg.Wait()
+	return errs
+}
+
+// fold takes a phone that missed its pause into the running recovery and
+// returns its slots. It is marked seen, so its own failure report — still
+// pending, or yet to arrive — starts no second recovery. Like the ping
+// loop, which re-resolves a silent slot and skips migration windows, it
+// re-checks first: a phone that no longer hosts a slot, has departed (the
+// mobility path re-homes it) or sits in a migration window is not folded.
+func (c *Controller) fold(m *managed, pid simnet.NodeID, why error) []string {
+	slots := m.r.SlotsOn(pid)
+	if len(slots) == 0 || m.r.Departed(pid) || m.isMigrating() {
+		c.logf("controller: %s missed its pause (%v) but is not folded", pid, why)
+		return nil
+	}
+	m.mu.Lock()
+	m.failedSeen[pid] = true
+	for i, p := range m.pendingFail {
+		if p == pid {
+			m.pendingFail = append(m.pendingFail[:i], m.pendingFail[i+1:]...)
+			break
+		}
+	}
+	m.mu.Unlock()
+	c.logf("controller: folding %s (slots %v) into the recovery: pause: %v", pid, slots, why)
+	for _, slot := range slots {
+		m.r.Jot("recover.fold", slot, 0, fmt.Sprintf("%s: pause: %v", pid, why))
+	}
+	return slots
 }
 
 // resumeDownstreamFirst resumes the region sinks-first in reverse slot
@@ -323,6 +432,7 @@ func (c *Controller) killRegion(m *managed) {
 	}
 	m.dead = true
 	m.mu.Unlock()
+	m.r.Jot("region.dead", "", 0, "bypassed")
 	m.r.Stop()
 	c.logf("controller: region %s is dead, bypassing", m.r.ID())
 	if c.cfg.OnRegionDead != nil {

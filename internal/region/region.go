@@ -448,7 +448,8 @@ func (r *Region) Obs() *obs.Registry { return r.obs }
 
 // Jot appends one lifecycle event to the region's journal on behalf of an
 // external coordinator — the controller uses it to surface placement-plan
-// lifecycle (plan.propose / plan.step / plan.commit / plan.abort).
+// lifecycle (plan.propose / plan.step / plan.commit / plan.abort) and
+// recoveries (recover.begin / recover.fold / recover.done / region.dead).
 func (r *Region) Jot(kind, slot string, version uint64, detail string) {
 	r.jot(kind, slot, version, detail)
 }
